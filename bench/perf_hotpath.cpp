@@ -40,14 +40,12 @@
 #include <queue>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "fastcast/common/codec.hpp"
 #include "fastcast/common/rng.hpp"
 #include "fastcast/net/cpu_affinity.hpp"
-#include "fastcast/net/sharded_transport.hpp"
 #include "fastcast/net/tcp_transport.hpp"
 #include "fastcast/obs/json.hpp"
 #include "fastcast/obs/metrics.hpp"
@@ -278,8 +276,7 @@ struct TcpResult {
   std::uint64_t frames = 0;
 };
 
-TcpResult bench_tcp(std::size_t frames, std::size_t pings,
-                    net::BackendKind backend) {
+TcpResult bench_tcp(std::size_t frames, std::size_t pings) {
   using net::AddressBook;
   using net::TcpTransport;
   AddressBook book;
@@ -287,9 +284,8 @@ TcpResult bench_tcp(std::size_t frames, std::size_t pings,
   book.base_port = static_cast<std::uint16_t>(23000 + (::getpid() % 500) +
                                               (port_salt += 16));
 
-  const net::TransportOptions opt{backend};
-  TcpTransport a(0, book, opt);
-  TcpTransport b(1, book, opt);
+  TcpTransport a(0, book);
+  TcpTransport b(1, book);
   a.listen();
   b.listen();
 
@@ -349,114 +345,10 @@ TcpResult bench_tcp(std::size_t frames, std::size_t pings,
 }
 
 // ---------------------------------------------------------------------------
-// Transport scaling: N concurrent senders into one sharded receiver,
-// aggregate frames/s per shard count, for each available backend. On a
-// many-core host the curve shows thread-per-core scaling; host_cpus is
-// recorded so flat curves on starved CI runners read as what they are.
+// Varint decode: the reader's unrolled fast path against an in-file
+// replica of the original byte-at-a-time loop, on a wire-realistic value
+// mix (mostly 1-byte, a 2-byte tier, a tail of large values).
 // ---------------------------------------------------------------------------
-
-struct ScalingPoint {
-  int shards = 0;
-  double frames_per_sec = 0;
-  std::uint64_t frames = 0;
-};
-
-struct TransportBackendResult {
-  const char* backend = "?";
-  bool available = false;
-  double single_conn_frames_per_sec = 0;
-  std::vector<ScalingPoint> scaling;
-};
-
-ScalingPoint bench_sharded(net::BackendKind backend, int shards,
-                           std::size_t total_frames) {
-  using net::AddressBook;
-  using net::TcpTransport;
-  constexpr int kSenders = 4;
-  AddressBook book;
-  static std::uint16_t port_salt = 0;
-  book.base_port = static_cast<std::uint16_t>(25000 + (::getpid() % 500) +
-                                              (port_salt += 16));
-
-  net::ShardedOptions so;
-  so.shards = shards;
-  so.backend = backend;
-  so.ring_capacity = 1 << 15;
-  net::ShardedTransport hub(0, book, so);
-  hub.start();
-
-  const Message msg = hot_wire_message();
-  const std::size_t per_sender = total_frames / kSenders;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> senders;
-  for (int s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&, s] {
-      const NodeId id = static_cast<NodeId>(s + 1);
-      TcpTransport t(id, book, net::TransportOptions{backend});
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::size_t i = 0; i < per_sender; ++i) {
-        t.send(0, msg);
-        if ((i & 1023) == 1023) t.poll_once(0);
-      }
-      const auto drain_deadline =
-          Clock::now() + std::chrono::seconds(120);
-      while (t.pending_bytes() > 0 && Clock::now() < drain_deadline) {
-        t.poll_once(1);
-      }
-      t.close_all();
-    });
-  }
-
-  ScalingPoint p;
-  p.shards = shards;
-  const std::uint64_t want = per_sender * kSenders;
-  std::uint64_t got = 0;
-  const auto t0 = Clock::now();
-  go.store(true, std::memory_order_release);
-  const auto deadline = Clock::now() + std::chrono::seconds(120);
-  while (got < want && Clock::now() < deadline) {
-    const std::size_t n =
-        hub.poll_deliveries([](NodeId, const Message&) {});
-    got += n;
-    if (n == 0) std::this_thread::yield();
-  }
-  const double dt = seconds_since(t0);
-  for (auto& th : senders) th.join();
-  hub.stop();
-  p.frames = got;
-  p.frames_per_sec = dt > 0 ? static_cast<double>(got) / dt : 0;
-  return p;
-}
-
-TransportBackendResult bench_transport_backend(net::BackendKind backend,
-                                               std::size_t single_frames,
-                                               std::size_t scale_frames) {
-  TransportBackendResult r;
-  r.backend = net::to_string(backend);
-  r.available =
-      backend != net::BackendKind::kUring || net::uring_available();
-  if (!r.available) return r;
-  r.single_conn_frames_per_sec =
-      bench_tcp(single_frames, /*pings=*/200, backend).frames_per_sec;
-  for (int shards : {1, 2, 4}) {
-    r.scaling.push_back(bench_sharded(backend, shards, scale_frames));
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Varint codec: the unrolled fast paths against in-file replicas of the
-// original byte-at-a-time loops, on a wire-realistic value mix (mostly
-// 1-byte, a 2-byte tier, a tail of large values).
-// ---------------------------------------------------------------------------
-
-void legacy_varint_encode(std::vector<std::byte>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(std::byte{static_cast<std::uint8_t>(v | 0x80)});
-    v >>= 7;
-  }
-  buf.push_back(std::byte{static_cast<std::uint8_t>(v)});
-}
 
 std::uint64_t legacy_varint_decode(std::span<const std::byte> data,
                                    std::size_t& pos, bool& ok) {
@@ -475,11 +367,8 @@ std::uint64_t legacy_varint_decode(std::span<const std::byte> data,
 }
 
 struct VarintResult {
-  double legacy_encode_mops = 0;
-  double fast_encode_mops = 0;
   double legacy_decode_mops = 0;
   double fast_decode_mops = 0;
-  double encode_speedup = 0;
   double decode_speedup = 0;
 };
 
@@ -502,28 +391,6 @@ VarintResult bench_varint(std::size_t iters) {
 
   VarintResult r;
   std::uint64_t sink = 0;
-  {
-    std::vector<std::byte> buf;
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < rounds; ++i) {
-      buf.clear();
-      for (std::uint64_t v : values) legacy_varint_encode(buf, v);
-      sink += buf.size();
-    }
-    r.legacy_encode_mops =
-        static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
-  }
-  {
-    Writer w;
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < rounds; ++i) {
-      w.clear();
-      for (std::uint64_t v : values) w.varint(v);
-      sink += w.size();
-    }
-    r.fast_encode_mops =
-        static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
-  }
   Writer encoded;
   for (std::uint64_t v : values) encoded.varint(v);
   {
@@ -550,7 +417,6 @@ VarintResult bench_varint(std::size_t iters) {
         static_cast<double>(rounds * values.size()) / seconds_since(t0) / 1e6;
   }
   if (sink == 0) std::fprintf(stderr, "unreachable\n");
-  r.encode_speedup = r.fast_encode_mops / r.legacy_encode_mops;
   r.decode_speedup = r.fast_decode_mops / r.legacy_decode_mops;
   return r;
 }
@@ -713,7 +579,6 @@ int main(int argc, char** argv) {
   const std::size_t codec_iters = smoke ? 100'000 : 2'000'000;
   const std::size_t tcp_frames = smoke ? 20'000 : 400'000;
   const std::size_t tcp_pings = smoke ? 200 : 2'000;
-  const std::size_t scale_frames = smoke ? 40'000 : 400'000;
   const std::size_t varint_ops = smoke ? 4'000'000 : 40'000'000;
 
   const EngineResult eng = bench_engine(engine_ops);
@@ -729,37 +594,13 @@ int main(int argc, char** argv) {
               cod.reused_mb_per_sec, cod.reused_allocs_per_msg, cod.speedup);
 
   const VarintResult vint = bench_varint(varint_ops);
-  std::printf("varint      encode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
-              vint.legacy_encode_mops, vint.fast_encode_mops,
-              vint.encode_speedup);
-  std::printf("            decode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
+  std::printf("varint      decode legacy %7.1f Mops/s  fast %7.1f Mops/s  %.2fx\n",
               vint.legacy_decode_mops, vint.fast_decode_mops,
               vint.decode_speedup);
 
-  const TcpResult tcp = bench_tcp(tcp_frames, tcp_pings, net::BackendKind::kPoll);
+  const TcpResult tcp = bench_tcp(tcp_frames, tcp_pings);
   std::printf("tcp         %12.0f frames/s   rtt p50 %.1fus p99 %.1fus\n",
               tcp.frames_per_sec, tcp.rtt_p50_us, tcp.rtt_p99_us);
-
-  // Transport scaling: every available backend, single connection plus the
-  // sharded hub at 1/2/4 shards with 4 concurrent senders.
-  const int host_cpus = net::online_cpu_count();
-  std::vector<TransportBackendResult> transports;
-  transports.push_back(bench_transport_backend(net::BackendKind::kPoll,
-                                               tcp_frames, scale_frames));
-  transports.push_back(bench_transport_backend(net::BackendKind::kUring,
-                                               tcp_frames, scale_frames));
-  for (const TransportBackendResult& t : transports) {
-    if (!t.available) {
-      std::printf("transport   %-6s unavailable on this host\n", t.backend);
-      continue;
-    }
-    std::printf("transport   %-6s single %10.0f frames/s   shards:", t.backend,
-                t.single_conn_frames_per_sec);
-    for (const ScalingPoint& p : t.scaling) {
-      std::printf("  %dx %10.0f/s", p.shards, p.frames_per_sec);
-    }
-    std::printf("   (%d cpus)\n", host_cpus);
-  }
 
   const EndToEndResult e2e = bench_end_to_end(smoke);
   std::printf("end_to_end  %12.0f events/s   %.1f allocs/delivery (%llu "
@@ -797,15 +638,6 @@ int main(int argc, char** argv) {
       .set(static_cast<std::int64_t>(tcp.frames_per_sec));
   metrics.gauge("hotpath.e2e.events_per_sec")
       .set(static_cast<std::int64_t>(e2e.events_per_sec));
-  for (const TransportBackendResult& t : transports) {
-    if (!t.available) continue;
-    for (const ScalingPoint& p : t.scaling) {
-      metrics
-          .gauge(std::string("hotpath.transport.") + t.backend + ".shards" +
-                 std::to_string(p.shards) + "_frames_per_sec")
-          .set(static_cast<std::int64_t>(p.frames_per_sec));
-    }
-  }
   for (const StoragePolicyResult& s : sto) {
     metrics.gauge(std::string("hotpath.storage.mem_") + s.name +
                   "_records_per_sec")
@@ -825,6 +657,7 @@ int main(int argc, char** argv) {
   w.kv("bench", "perf_hotpath");
   write_build_flavor(w);
   w.kv("smoke", smoke);
+  w.kv("host_cpus", static_cast<std::int64_t>(net::online_cpu_count()));
   w.key("engine").begin_object();
   w.kv("legacy_ops_per_sec", eng.legacy_ops_per_sec);
   w.kv("pooled_ops_per_sec", eng.pooled_ops_per_sec);
@@ -841,9 +674,6 @@ int main(int argc, char** argv) {
   w.kv("encoded_bytes", cod.encoded_bytes);
   w.end_object();
   w.key("varint").begin_object();
-  w.kv("legacy_encode_mops", vint.legacy_encode_mops);
-  w.kv("fast_encode_mops", vint.fast_encode_mops);
-  w.kv("encode_speedup", vint.encode_speedup);
   w.kv("legacy_decode_mops", vint.legacy_decode_mops);
   w.kv("fast_decode_mops", vint.fast_decode_mops);
   w.kv("decode_speedup", vint.decode_speedup);
@@ -853,29 +683,6 @@ int main(int argc, char** argv) {
   w.kv("rtt_p50_us", tcp.rtt_p50_us);
   w.kv("rtt_p99_us", tcp.rtt_p99_us);
   w.kv("frames", tcp.frames);
-  w.end_object();
-  w.key("transport").begin_object();
-  w.kv("host_cpus", static_cast<std::int64_t>(host_cpus));
-  w.key("backends").begin_array();
-  for (const TransportBackendResult& t : transports) {
-    w.begin_object();
-    w.kv("backend", t.backend);
-    w.kv("available", t.available);
-    if (t.available) {
-      w.kv("single_conn_frames_per_sec", t.single_conn_frames_per_sec);
-      w.key("scaling").begin_array();
-      for (const ScalingPoint& p : t.scaling) {
-        w.begin_object();
-        w.kv("shards", static_cast<std::int64_t>(p.shards));
-        w.kv("frames_per_sec", p.frames_per_sec);
-        w.kv("frames", p.frames);
-        w.end_object();
-      }
-      w.end_array();
-    }
-    w.end_object();
-  }
-  w.end_array();
   w.end_object();
   w.key("end_to_end").begin_object();
   w.kv("events_per_sec", e2e.events_per_sec);

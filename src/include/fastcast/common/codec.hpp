@@ -46,29 +46,9 @@ class Writer {
   }
 
   /// Unsigned LEB128 varint; compact for small values (sequence numbers,
-  /// sizes) which dominate the wire traffic.
-  ///
-  /// The 1- and 2-byte tiers — nearly all of the wire traffic — are
-  /// unrolled into straight-line code so their exits are predictable;
-  /// only 3+-byte values (timestamps, wide ids) reach the loop. Batched
-  /// alternatives (scratch buffer + insert, resize + raw stores) measured
-  /// *slower* than per-byte push_back here: libstdc++'s push_back is a
-  /// compare + store when capacity holds, while insert/resize pay a
-  /// non-inlined range path per call. Byte-identical to the naive loop
-  /// for every value (pinned by the Codec.VarintGoldenBytes test).
+  /// sizes) which dominate the wire traffic. The plain loop: unrolling its
+  /// 1- and 2-byte tiers measured slower, so only the reader is unrolled.
   void varint(std::uint64_t v) {
-    if (v < 0x80) {
-      u8(static_cast<std::uint8_t>(v));
-      return;
-    }
-    u8(static_cast<std::uint8_t>(v | 0x80));
-    v >>= 7;
-    if (v < 0x80) {
-      u8(static_cast<std::uint8_t>(v));
-      return;
-    }
-    u8(static_cast<std::uint8_t>(v | 0x80));
-    v >>= 7;
     while (v >= 0x80) {
       u8(static_cast<std::uint8_t>(v | 0x80));
       v >>= 7;

@@ -28,14 +28,17 @@ class StorageManager;
 
 namespace net {
 
+/// The transport's event engine. poll(2) is the only one.
+enum class BackendKind { kPoll };
+
 class TcpCluster {
  public:
   struct Config {
     Membership membership;
     std::uint16_t base_port = 17400;
     int poll_interval_ms = 2;
-    /// Event engine for every node's transport (kAuto = io_uring when the
-    /// kernel supports it, else poll).
+    /// Kept so existing configs still compile; nothing reads it, since
+    /// every node's transport runs on poll(2).
     BackendKind backend = BackendKind::kPoll;
     /// Optional run-wide metrics/tracing bundle shared by all node threads
     /// (instruments are thread-safe). Must outlive the cluster.

@@ -25,8 +25,7 @@ class TcpCluster::NodeRuntime final : public Context {
               std::uint64_t seed)
       : cluster_(cluster),
         self_(self),
-        transport_(self, addresses,
-                   TransportOptions{cluster->config_.backend}),
+        transport_(self, addresses),
         rng_(seed) {
     transport_.set_receive([this](NodeId from, const Message& msg) {
       if (c_received_) c_received_->inc();

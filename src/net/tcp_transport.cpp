@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "fastcast/common/logging.hpp"
 #include "fastcast/obs/observability.hpp"
@@ -29,7 +28,7 @@ constexpr std::size_t kFlushThresholdBytes = 256 * 1024;
 /// UIO_MAXIOV is 1024; 64 already amortizes the syscall to noise.
 constexpr int kMaxIov = 64;
 
-/// recv chunk reserved in the parser arena per armed receive.
+/// recv chunk reserved in the parser arena per receive.
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 /// Writes the whole buffer, retrying on partial writes/EINTR.
@@ -53,20 +52,14 @@ void set_nodelay(int fd) {
 
 }  // namespace
 
-TcpTransport::TcpTransport(NodeId self, AddressBook addresses,
-                           TransportOptions options)
-    : self_(self),
-      addresses_(addresses),
-      options_(options),
-      backend_(make_backend(options.backend)),
-      rng_(0xbacc0ffULL + self) {}
+TcpTransport::TcpTransport(NodeId self, AddressBook addresses)
+    : self_(self), addresses_(addresses), rng_(0xbacc0ffULL + self) {}
 
 void TcpTransport::set_observability(obs::Observability* o) {
   c_reconnects_ = o ? &o->metrics.counter("net.reconnects") : nullptr;
   c_connect_failures_ = o ? &o->metrics.counter("net.connect_failures") : nullptr;
   c_disconnects_ = o ? &o->metrics.counter("net.disconnects") : nullptr;
   c_tx_dropped_ = o ? &o->metrics.counter("net.tx_frames_dropped") : nullptr;
-  c_listen_retries_ = o ? &o->metrics.counter("net.listen_retries") : nullptr;
   g_tx_queued_ = o ? &o->metrics.gauge("net.tx_queued_bytes") : nullptr;
   g_tx_queued_hwm_ = o ? &o->metrics.gauge("net.tx_queued_bytes_hwm") : nullptr;
   if (g_tx_queued_ != nullptr) {
@@ -86,8 +79,6 @@ void TcpTransport::note_queued_delta(std::ptrdiff_t delta) {
 
 TcpTransport::~TcpTransport() { close_all(); }
 
-const char* TcpTransport::backend_name() const { return backend_->name(); }
-
 void TcpTransport::listen() {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("socket() failed");
@@ -98,36 +89,17 @@ void TcpTransport::listen() {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(addresses_.port_of(self_));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  // Bind with a bounded EADDRINUSE retry, scoped to the one case that
-  // needs it. SO_REUSEADDR covers TIME_WAIT, but io_uring's deferred
-  // ring-exit work drops a just-closed ring's last file references ~5ms
-  // after close(ring) — userspace cannot flush it synchronously, so
-  // back-to-back restarts on a fixed port need a grace window (observed:
-  // repeated tcp_cluster runs on the uring backend). On poll there is no
-  // such deferral: retrying there would only turn a genuine port conflict
-  // (another live process owns the port) into a 500ms hang before the
-  // same error, so the auto default fails fast. bind_retry_ms overrides.
-  const int retry_ms =
-      options_.bind_retry_ms >= 0
-          ? options_.bind_retry_ms
-          : (std::strcmp(backend_->name(), "uring") == 0 ? 500 : 0);
-  const auto bind_deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(retry_ms);
-  while (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-         0) {
-    if (errno != EADDRINUSE ||
-        std::chrono::steady_clock::now() >= bind_deadline) {
-      throw std::runtime_error(
-          "bind() failed for node " + std::to_string(self_) + " port " +
-          std::to_string(addresses_.port_of(self_)) + ": " +
-          std::strerror(errno));
-    }
-    ++stats_.listen_retries;
-    if (c_listen_retries_ != nullptr) c_listen_retries_->inc();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // SO_REUSEADDR covers TIME_WAIT, so a restarted node rebinds its port
+  // at once; any other bind failure is a genuine conflict and fails fast.
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    throw std::runtime_error(
+        "bind() failed for node " + std::to_string(self_) + " port " +
+        std::to_string(addresses_.port_of(self_)) + ": " +
+        std::strerror(errno));
   }
   if (::listen(listen_fd_, 64) != 0) throw std::runtime_error("listen() failed");
-  backend_->watch_readable(listen_fd_);
+  pollfds_dirty_ = true;
 }
 
 int TcpTransport::connect_to(NodeId to) {
@@ -275,7 +247,10 @@ bool TcpTransport::write_pending(Outbound& ob) {
     }
     // One gather syscall per kMaxIov frames (sendmsg == writev with
     // MSG_NOSIGNAL — plain writev raises SIGPIPE on a dead peer).
-    const ssize_t n = backend_->send_gather(ob.fd, iov, iovcnt);
+    msghdr mh{};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    const ssize_t n = ::sendmsg(ob.fd, &mh, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -303,9 +278,9 @@ void TcpTransport::advance_written(Outbound& ob, std::size_t n) {
 }
 
 void TcpTransport::drop(int fd) {
-  backend_->remove(fd);
   ::close(fd);
   inbound_.erase(fd);
+  pollfds_dirty_ = true;
 }
 
 void TcpTransport::accept_one() {
@@ -315,42 +290,11 @@ void TcpTransport::accept_one() {
   Peer peer;
   peer.fd = fd;
   inbound_.emplace(fd, std::move(peer));
-  // Hello phase: plain readiness watch; the 4 id bytes are read
-  // synchronously when they arrive (they may fragment).
-  backend_->watch_readable(fd);
-}
-
-void TcpTransport::adopt_inbound(int fd, NodeId peer_id) {
-  set_nodelay(fd);
-  if (const auto old = inbound_.find(fd); old != inbound_.end()) {
-    // fd numbers are unique among live descriptors, so a collision means
-    // the old entry's socket was closed without drop() and the number
-    // recycled: that entry is stale. Evict it (its fd now names *this*
-    // socket, so don't close) — keeping it would leak the adopted socket
-    // and leave the new peer's connection silently dead.
-    FC_WARN("node %u: adopt_inbound fd %d evicts a stale entry for node %u",
-            self_, fd, old->second.id);
-    backend_->remove(fd);
-    inbound_.erase(old);
-  }
-  Peer peer;
-  peer.fd = fd;
-  peer.id = peer_id;
-  const auto it = inbound_.emplace(fd, std::move(peer)).first;
-  arm_peer_recv(it->second);
-}
-
-void TcpTransport::watch_fd(int fd, std::function<void()> cb) {
-  watched_[fd] = std::move(cb);
-  backend_->watch_readable(fd);
-}
-
-void TcpTransport::unwatch_fd(int fd) {
-  if (watched_.erase(fd) > 0) backend_->remove(fd);
+  pollfds_dirty_ = true;
 }
 
 void TcpTransport::handle_hello(Peer& peer) {
-  if (peer.id != kInvalidNode) return;  // stale readiness after arming
+  // The 4 id bytes may fragment; poll reported readable, so recv won't block.
   const ssize_t n = ::recv(peer.fd, peer.hello + peer.hello_got,
                            sizeof peer.hello - peer.hello_got, 0);
   if (n <= 0) {
@@ -362,27 +306,16 @@ void TcpTransport::handle_hello(Peer& peer) {
   if (peer.hello_got == sizeof peer.hello) {
     std::uint32_t id = 0;
     std::memcpy(&id, peer.hello, sizeof id);
-    if (hello_router_ && hello_router_(peer.fd, id)) {
-      // The router took the connection (e.g. it belongs to another shard):
-      // forget the fd without closing it.
-      const int fd = peer.fd;
-      backend_->remove(fd);
-      inbound_.erase(fd);
-      return;
-    }
     peer.id = id;
-    // Data phase: receives now land in the parser arena via the backend
-    // (arming supersedes the hello watch).
-    arm_peer_recv(peer);
   }
 }
 
-void TcpTransport::arm_peer_recv(Peer& peer) {
+std::size_t TcpTransport::handle_data(Peer& peer) {
+  // Receive straight into the parser arena: no intermediate copy, and
+  // recv_buffer only allocates when the arena must grow.
   const std::span<std::byte> dst = peer.parser.recv_buffer(kReadChunkBytes);
-  backend_->arm_recv(peer.fd, dst.data(), dst.size());
-}
-
-std::size_t TcpTransport::handle_recv(Peer& peer, ssize_t n) {
+  const ssize_t n = ::recv(peer.fd, dst.data(), dst.size(), 0);
+  if (n < 0 && errno == EINTR) return 0;  // retry next poll
   if (n <= 0) {
     drop(peer.fd);
     return 0;
@@ -396,37 +329,41 @@ std::size_t TcpTransport::handle_recv(Peer& peer, ssize_t n) {
   if (peer.parser.corrupted()) {
     FC_ERROR("node %u: corrupted stream from %u", self_, peer.id);
     drop(peer.fd);
-    return dispatched;
   }
-  // Re-arm only after the parser drained: recv_buffer may compact or grow
-  // the arena, which is safe exactly because no receive is in flight.
-  arm_peer_recv(peer);
   return dispatched;
+}
+
+void TcpTransport::rebuild_pollfds() {
+  pollfds_.clear();
+  if (listen_fd_ >= 0) pollfds_.push_back(pollfd{listen_fd_, POLLIN, 0});
+  for (const auto& [fd, peer] : inbound_) {
+    pollfds_.push_back(pollfd{fd, POLLIN, 0});
+  }
+  pollfds_dirty_ = false;
 }
 
 std::size_t TcpTransport::poll_once(int timeout_ms) {
   flush();
-  events_.clear();
-  backend_->wait(timeout_ms, events_);
+  if (pollfds_dirty_) rebuild_pollfds();
+  if (::poll(pollfds_.data(), pollfds_.size(), timeout_ms) <= 0) return 0;
 
+  // Handlers may drop peers, which only marks the array dirty. The listen
+  // socket comes first, so an accept cannot reuse an fd number that a
+  // later entry of this sweep still names.
   std::size_t dispatched = 0;
-  for (const TransportBackend::Event& ev : events_) {
-    if (ev.kind == TransportBackend::Event::Kind::kReadable) {
-      if (ev.fd == listen_fd_) {
-        accept_one();
-        continue;
-      }
-      if (const auto wit = watched_.find(ev.fd); wit != watched_.end()) {
-        wit->second();
-        continue;
-      }
-      const auto it = inbound_.find(ev.fd);
-      if (it == inbound_.end()) continue;  // dropped earlier this round
+  for (const pollfd& p : pollfds_) {
+    if ((p.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    if (p.fd == listen_fd_) {
+      accept_one();
+      continue;
+    }
+    const auto it = inbound_.find(p.fd);
+    if (it == inbound_.end()) continue;  // dropped earlier this round
+    // POLLHUP/POLLERR also route through recv, which reports the 0/-1.
+    if (it->second.id == kInvalidNode) {
       handle_hello(it->second);
     } else {
-      const auto it = inbound_.find(ev.fd);
-      if (it == inbound_.end()) continue;  // dropped earlier this round
-      dispatched += handle_recv(it->second, ev.n);
+      dispatched += handle_data(it->second);
     }
   }
   return dispatched;
@@ -435,7 +372,6 @@ std::size_t TcpTransport::poll_once(int timeout_ms) {
 void TcpTransport::close_all() {
   flush();  // best-effort: don't strand queued frames on shutdown
   if (listen_fd_ >= 0) {
-    backend_->remove(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -443,11 +379,9 @@ void TcpTransport::close_all() {
     if (ob.fd >= 0) ::close(ob.fd);
   }
   outbound_.clear();
-  for (auto& [fd, peer] : inbound_) {
-    backend_->remove(fd);
-    ::close(fd);
-  }
+  for (auto& [fd, peer] : inbound_) ::close(fd);
   inbound_.clear();
+  pollfds_dirty_ = true;
 }
 
 }  // namespace fastcast::net

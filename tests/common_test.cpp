@@ -129,10 +129,10 @@ TEST(Codec, VarintBoundaries) {
   }
 }
 
-/// Pins the exact LEB128 byte sequences. The writer/reader fast paths
-/// (1-byte and 2-byte early exits, the unrolled >=10-bytes-remaining
-/// decoder) must stay byte-identical to the canonical encoding — any
-/// deviation is a wire-format break, not a perf tweak.
+/// Pins the exact LEB128 byte sequences. The writer and the reader's fast
+/// paths (1-byte early exit, the unrolled >=10-bytes-remaining decoder)
+/// must stay byte-identical to the canonical encoding — any deviation is
+/// a wire-format break, not a perf tweak.
 TEST(Codec, VarintGoldenBytes) {
   struct Golden {
     std::uint64_t value;
@@ -141,11 +141,11 @@ TEST(Codec, VarintGoldenBytes) {
   const std::vector<Golden> goldens = {
       {0, {0x00}},
       {1, {0x01}},
-      {127, {0x7f}},                          // 1-byte fast-path boundary
+      {127, {0x7f}},                          // largest 1-byte value
       {128, {0x80, 0x01}},                    // first 2-byte value
       {300, {0xac, 0x02}},
-      {16383, {0xff, 0x7f}},                  // 2-byte fast-path boundary
-      {16384, {0x80, 0x80, 0x01}},            // first scratch-buffer value
+      {16383, {0xff, 0x7f}},                  // largest 2-byte value
+      {16384, {0x80, 0x80, 0x01}},            // first 3-byte value
       {0xffffffffULL, {0xff, 0xff, 0xff, 0xff, 0x0f}},
       {1ULL << 63, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
                     0x01}},

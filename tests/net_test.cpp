@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,14 +12,10 @@
 #include <mutex>
 #include <thread>
 
-#include "fastcast/net/transport_backend.hpp"
-
 #include "fastcast/amcast/client_stub.hpp"
 #include "fastcast/amcast/fastcast.hpp"
 #include "fastcast/amcast/node.hpp"
 #include "fastcast/checker/checker.hpp"
-#include "fastcast/net/sharded_transport.hpp"
-#include "fastcast/net/spsc_ring.hpp"
 #include "fastcast/net/tcp_cluster.hpp"
 #include "fastcast/net/timer_heap.hpp"
 #include "fastcast/obs/observability.hpp"
@@ -187,8 +182,6 @@ TEST(FrameParser, FlagsUndecodableBody) {
   EXPECT_TRUE(parser.corrupted());
 }
 
-/// End-to-end: two groups of three over real sockets, FastCast, one client
-/// sending global messages; checker verifies the resulting history.
 /// Allocates a fresh 16-port block so concurrently-lingering sockets from
 /// earlier tests (TIME_WAIT) can never collide with a new listener.
 std::uint16_t next_port_block() {
@@ -197,27 +190,15 @@ std::uint16_t next_port_block() {
                                     (block.fetch_add(1) % 512) * 16);
 }
 
-/// Shared base for every backend-parameterized suite: uring cases
-/// auto-skip when the kernel (or the build) lacks io_uring, so the same
-/// test list runs everywhere and reports skips instead of failures.
-class BackendParamTest : public ::testing::TestWithParam<BackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == BackendKind::kUring && !uring_available()) {
-      GTEST_SKIP() << "io_uring not available in this build/kernel";
-    }
-    addresses_.base_port = next_port_block();
-  }
-  TransportOptions opts() const { return TransportOptions{GetParam()}; }
-  AddressBook addresses_;
-};
-
-std::string backend_param_name(
-    const ::testing::TestParamInfo<BackendKind>& info) {
-  return to_string(info.param);
+AddressBook fresh_addresses() {
+  AddressBook addresses;
+  addresses.base_port = next_port_block();
+  return addresses;
 }
 
-void run_fastcast_over_real_sockets(BackendKind backend) {
+/// End-to-end: two groups of three over real sockets, FastCast, one client
+/// sending global messages; checker verifies the resulting history.
+TEST(TcpCluster, RunsFastCastOverRealSockets) {
   Membership membership;
   membership.add_group(3, {0, 0, 0});
   membership.add_group(3, {0, 0, 0});
@@ -226,7 +207,6 @@ void run_fastcast_over_real_sockets(BackendKind backend) {
   TcpCluster::Config cfg;
   cfg.membership = membership;
   cfg.base_port = next_port_block();
-  cfg.backend = backend;
   TcpCluster cluster(std::move(cfg));
 
   std::mutex mu;
@@ -312,7 +292,7 @@ void run_fastcast_over_real_sockets(BackendKind backend) {
 
 /// A node is killed mid-run and restarted; no client message may be lost
 /// (the acceptance bar for the transport retry queues + cluster recovery).
-void run_kill_restart_cluster(BackendKind backend) {
+TEST(TcpCluster, SurvivesKilledAndRestartedNode) {
   Membership membership;
   membership.add_group(3, {0, 0, 0});
   membership.add_group(3, {0, 0, 0});
@@ -322,7 +302,6 @@ void run_kill_restart_cluster(BackendKind backend) {
   TcpCluster::Config cfg;
   cfg.membership = membership;
   cfg.base_port = next_port_block();
-  cfg.backend = backend;
   TcpCluster cluster(std::move(cfg));
 
   std::mutex mu;
@@ -427,52 +406,22 @@ void run_kill_restart_cluster(BackendKind backend) {
                                                        : report.violations[0]);
 }
 
-// ===========================================================================
-// Backend conformance: every TransportBackend implementation must present
-// the same observable transport semantics. The whole protocol-over-cluster
-// path, plus targeted transport behaviours (stream reassembly, queue
-// shedding, reconnect accounting), run against each backend.
-// ===========================================================================
-
-class ClusterConformance : public BackendParamTest {};
-
-TEST_P(ClusterConformance, RunsFastCastOverRealSockets) {
-  run_fastcast_over_real_sockets(GetParam());
-}
-
-TEST_P(ClusterConformance, SurvivesKilledAndRestartedNode) {
-  run_kill_restart_cluster(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ClusterConformance,
-                         ::testing::Values(BackendKind::kPoll,
-                                           BackendKind::kUring),
-                         backend_param_name);
-
-class TransportConformance : public BackendParamTest {};
-
-TEST_P(TransportConformance, ReportsResolvedBackendName) {
-  TcpTransport t(0, addresses_, opts());
-  EXPECT_STREQ(t.backend_name(), to_string(GetParam()));
-}
-
-TEST_P(TransportConformance, RebindsSamePortImmediatelyAfterDestroy) {
-  // Pending backend ops pin their sockets inside the kernel. If teardown
-  // does not cancel and reap them, the listen socket outlives the
-  // transport (io_uring frees deferred-teardown references on a kernel
-  // worker) and an immediate rebind of the same port throws EADDRINUSE —
-  // SO_REUSEADDR cannot override a socket still in LISTEN. Caught by
-  // back-to-back tcp_cluster runs on the uring backend.
+TEST(TcpTransport, RebindsSamePortImmediatelyAfterDestroy) {
+  // A restarted node rebinds its port at once: the destructor must close
+  // the listen socket synchronously, since SO_REUSEADDR cannot override a
+  // socket still in LISTEN.
+  const AddressBook addresses = fresh_addresses();
   for (int round = 0; round < 5; ++round) {
-    TcpTransport t(0, addresses_, opts());
+    TcpTransport t(0, addresses);
     ASSERT_NO_THROW(t.listen()) << "round " << round;
-    t.poll_once(0);  // arms the readiness watch on the listen socket
-  }  // the destructor must release the port synchronously
+    t.poll_once(0);  // polls the listen socket once
+  }
 }
 
-TEST_P(TransportConformance, DeliversBidirectionalTrafficInOrder) {
-  TcpTransport a(0, addresses_, opts());
-  TcpTransport b(1, addresses_, opts());
+TEST(TcpTransport, DeliversBidirectionalTrafficInOrder) {
+  const AddressBook addresses = fresh_addresses();
+  TcpTransport a(0, addresses);
+  TcpTransport b(1, addresses);
   a.listen();
   b.listen();
 
@@ -508,13 +457,14 @@ TEST_P(TransportConformance, DeliversBidirectionalTrafficInOrder) {
   b.close_all();
 }
 
-TEST_P(TransportConformance, ReassemblesLargeAndCoalescedFrames) {
+TEST(TcpTransport, ReassemblesLargeAndCoalescedFrames) {
+  const AddressBook addresses = fresh_addresses();
   // Mixes >kMaxIov tiny frames (multi-sendmsg batching, head_offset
   // bookkeeping) with multi-megabyte frames (bigger than the socket
   // buffer, so the stream fragments and the parser must reassemble across
   // many armed receives).
-  TcpTransport sender(0, addresses_, opts());
-  TcpTransport receiver(1, addresses_, opts());
+  TcpTransport sender(0, addresses);
+  TcpTransport receiver(1, addresses);
   sender.listen();
   receiver.listen();
 
@@ -578,8 +528,9 @@ TEST_P(TransportConformance, ReassemblesLargeAndCoalescedFrames) {
   EXPECT_EQ(large_ok, kLarge);
 }
 
-TEST_P(TransportConformance, ShedsQueueBeyondBudgetWhileUnreachable) {
-  TcpTransport sender(0, addresses_, opts());
+TEST(TcpTransport, ShedsQueueBeyondBudgetWhileUnreachable) {
+  const AddressBook addresses = fresh_addresses();
+  TcpTransport sender(0, addresses);
   RetryPolicy rp;
   rp.base_backoff_ms = 1;
   rp.max_queued_bytes = 4 * 1024;
@@ -597,14 +548,15 @@ TEST_P(TransportConformance, ShedsQueueBeyondBudgetWhileUnreachable) {
   sender.close_all();
 }
 
-TEST_P(TransportConformance, ShedExportsCountersAndGaugesThenRecovers) {
+TEST(TcpTransport, ShedExportsCountersAndGaugesThenRecovers) {
+  const AddressBook addresses = fresh_addresses();
   // The backpressure telemetry contract: while a peer is unreachable the
   // tx queue gauge tracks pending bytes up to the budget, overflow lands
   // in net.tx_frames_dropped, and once the peer appears the queue drains —
   // gauge back to zero, frames delivered — without recreating the
   // transport.
   obs::Observability obs;
-  TcpTransport sender(0, addresses_, opts());
+  TcpTransport sender(0, addresses);
   RetryPolicy rp;
   rp.base_backoff_ms = 1;
   rp.max_backoff_ms = 20;
@@ -626,7 +578,7 @@ TEST_P(TransportConformance, ShedExportsCountersAndGaugesThenRecovers) {
             obs.metrics.gauge_value("net.tx_queued_bytes"));
 
   // Peer appears: the surviving queue must flush and the gauge drain to 0.
-  TcpTransport receiver(1, addresses_, opts());
+  TcpTransport receiver(1, addresses);
   receiver.listen();
   std::atomic<std::uint64_t> got{0};
   receiver.set_receive([&](NodeId, const Message&) { got.fetch_add(1); });
@@ -645,8 +597,9 @@ TEST_P(TransportConformance, ShedExportsCountersAndGaugesThenRecovers) {
   receiver.close_all();
 }
 
-TEST_P(TransportConformance, ReconnectsWithBackoffAfterPeerRestart) {
-  TcpTransport sender(0, addresses_, opts());
+TEST(TcpTransport, ReconnectsWithBackoffAfterPeerRestart) {
+  const AddressBook addresses = fresh_addresses();
+  TcpTransport sender(0, addresses);
   RetryPolicy rp;
   rp.base_backoff_ms = 1;
   rp.max_backoff_ms = 20;
@@ -655,7 +608,7 @@ TEST_P(TransportConformance, ReconnectsWithBackoffAfterPeerRestart) {
 
   std::atomic<std::uint64_t> got{0};
   auto make_receiver = [&] {
-    auto r = std::make_unique<TcpTransport>(1, addresses_, opts());
+    auto r = std::make_unique<TcpTransport>(1, addresses);
     r->set_retry_policy(rp);
     r->listen();
     r->set_receive(
@@ -699,12 +652,12 @@ TEST_P(TransportConformance, ReconnectsWithBackoffAfterPeerRestart) {
   receiver->close_all();
 }
 
-/// Regression for a reconnect-accounting bug found while extracting the
-/// poll backend: try_connect consulted the *global* disconnect counter, so
-/// once any peer had dropped, a clean first-try connect to a brand-new
-/// peer was miscounted as a reconnect.
-TEST_P(TransportConformance, FirstConnectToNewPeerIsNotAReconnect) {
-  TcpTransport sender(0, addresses_, opts());
+/// Regression for a reconnect-accounting bug: try_connect consulted the
+/// *global* disconnect counter, so once any peer had dropped, a clean
+/// first-try connect to a brand-new peer was miscounted as a reconnect.
+TEST(TcpTransport, FirstConnectToNewPeerIsNotAReconnect) {
+  const AddressBook addresses = fresh_addresses();
+  TcpTransport sender(0, addresses);
   RetryPolicy rp;
   rp.base_backoff_ms = 1;
   sender.set_retry_policy(rp);
@@ -712,7 +665,7 @@ TEST_P(TransportConformance, FirstConnectToNewPeerIsNotAReconnect) {
 
   std::atomic<std::uint64_t> got1{0}, got2{0};
   {
-    TcpTransport rx1(1, addresses_, opts());
+    TcpTransport rx1(1, addresses);
     rx1.listen();
     rx1.set_receive([&](NodeId, const Message&) { got1.fetch_add(1); });
     sender.send(1, Message{RmAck{0, 1}});
@@ -738,7 +691,7 @@ TEST_P(TransportConformance, FirstConnectToNewPeerIsNotAReconnect) {
 
   // Fresh peer 2, already listening: its first-try connect is clean and
   // must not bump the reconnect counter.
-  TcpTransport rx2(2, addresses_, opts());
+  TcpTransport rx2(2, addresses);
   rx2.listen();
   rx2.set_receive([&](NodeId, const Message&) { got2.fetch_add(1); });
   sender.send(2, Message{RmAck{0, 100}});
@@ -752,262 +705,6 @@ TEST_P(TransportConformance, FirstConnectToNewPeerIsNotAReconnect) {
   sender.close_all();
   rx2.close_all();
 }
-
-TEST_P(TransportConformance, RemoveReclaimsArmedReceiveBufferSynchronously) {
-  // Regression: the uring backend used to only *queue* cancel SQEs in
-  // remove() (not even submitted until the next wait), while the contract
-  // lets the caller reclaim the armed buffer the moment remove() returns —
-  // so the kernel could complete the still-in-flight RECV into memory the
-  // caller had already freed or reused (a kernel-side write ASan cannot
-  // see). remove() must cancel and reap synchronously: once it returns,
-  // nothing may touch the buffer and no event for the fd may surface.
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-
-  auto backend = make_backend(GetParam());
-  std::vector<std::byte> buf(256, std::byte{0x5a});
-  backend->arm_recv(sv[0], buf.data(), buf.size());
-
-  std::vector<TransportBackend::Event> events;
-  backend->wait(0, events);  // submits the armed receive; no data yet
-  EXPECT_TRUE(events.empty());
-
-  backend->remove(sv[0]);
-  // The caller reuses the memory...
-  std::fill(buf.begin(), buf.end(), std::byte{0xab});
-  // ...and only then does peer data arrive for the dead registration.
-  const char late[] = "late";
-  ASSERT_EQ(::write(sv[1], late, sizeof late),
-            static_cast<ssize_t>(sizeof late));
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  while (std::chrono::steady_clock::now() < deadline) {
-    backend->wait(1, events);
-  }
-  EXPECT_TRUE(events.empty()) << "stale event surfaced for a removed fd";
-  const std::size_t clobbered = static_cast<std::size_t>(
-      std::count_if(buf.begin(), buf.end(),
-                    [](std::byte b) { return b != std::byte{0xab}; }));
-  EXPECT_EQ(clobbered, 0u) << "kernel wrote into a reclaimed receive buffer";
-
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,
-                         ::testing::Values(BackendKind::kPoll,
-                                           BackendKind::kUring),
-                         backend_param_name);
-
-// ===========================================================================
-// Sharded transport: peer ownership, hello-based fd handoff between
-// shards, SPSC delivery to the protocol thread, and the reply path.
-// ===========================================================================
-
-class ShardedConformance : public BackendParamTest {};
-
-TEST_P(ShardedConformance, RoutesPeersAcrossShardsBothDirections) {
-  constexpr int kSenders = 4;
-  constexpr std::uint64_t kPerSender = 150;
-
-  ShardedOptions so;
-  so.shards = 3;  // senders 1..4 spread over shards 1, 2, 0, 1
-  so.backend = GetParam();
-  ShardedTransport hub(0, addresses_, so);
-  hub.start();
-
-  struct Sender {
-    std::unique_ptr<TcpTransport> t;
-    std::atomic<std::uint64_t> acked{0};
-  };
-  std::vector<Sender> senders(kSenders);
-  for (int i = 0; i < kSenders; ++i) {
-    const NodeId id = static_cast<NodeId>(i + 1);
-    senders[i].t = std::make_unique<TcpTransport>(id, addresses_, opts());
-    senders[i].t->listen();  // the hub's reply path connects back here
-    senders[i].t->set_receive([&s = senders[i]](NodeId from, const Message& m) {
-      EXPECT_EQ(from, 0u);
-      EXPECT_EQ(std::get<RmAck>(m.payload).origin, 0u);
-      s.acked.fetch_add(1);
-    });
-    for (std::uint64_t seq = 0; seq < kPerSender; ++seq) {
-      senders[i].t->send(0, Message{RmAck{id, seq}});
-    }
-  }
-
-  // Protocol thread: drain deliveries, echo an ack per message, verify
-  // per-sender FIFO (sharding must not reorder within a connection).
-  std::vector<std::uint64_t> next_seq(kSenders + 1, 0);
-  std::uint64_t delivered = 0;
-  bool fifo_ok = true;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  auto all_acked = [&] {
-    for (auto& s : senders) {
-      if (s.acked.load() < kPerSender) return false;
-    }
-    return true;
-  };
-  while ((delivered < kSenders * kPerSender || !all_acked()) &&
-         std::chrono::steady_clock::now() < deadline) {
-    delivered += hub.poll_deliveries([&](NodeId from, const Message& msg) {
-      const auto& ack = std::get<RmAck>(msg.payload);
-      fifo_ok = fifo_ok && ack.seq == next_seq[from]++;
-      hub.send(from, Message{RmAck{0, ack.seq}});
-    });
-    for (auto& s : senders) s.t->poll_once(0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  EXPECT_EQ(delivered, kSenders * kPerSender);
-  EXPECT_EQ(hub.frames_received(), kSenders * kPerSender);
-  EXPECT_TRUE(fifo_ok);
-  for (int i = 0; i < kSenders; ++i) {
-    EXPECT_EQ(senders[i].acked.load(), kPerSender) << "sender " << i + 1;
-    senders[i].t->close_all();
-  }
-  hub.stop();
-}
-
-TEST(SpscRing, PopReleasesSlotFreight) {
-  // Regression: pop() move-assigned out of the slot but left the husk in
-  // place. A moved-from shared_ptr is guaranteed empty, but a moved-from
-  // vector/Message may legally keep its allocation — and even with
-  // shared_ptr, a slot that push() later overwrites is the only thing
-  // freeing it. Verify an idle ring holds no references to anything that
-  // passed through it.
-  SpscRing<std::shared_ptr<int>> ring(8);
-  auto probe = std::make_shared<int>(42);
-  std::weak_ptr<int> watch = probe;
-  ASSERT_TRUE(ring.push(std::move(probe)));
-  std::shared_ptr<int> out;
-  ASSERT_TRUE(ring.pop(out));
-  ASSERT_EQ(*out, 42);
-  out.reset();
-  // Ring is empty and the consumer dropped its copy: nothing may keep the
-  // object alive.
-  EXPECT_TRUE(ring.empty());
-  EXPECT_TRUE(watch.expired());
-
-  // Same through a full wrap: no slot may pin freight after its pop.
-  std::vector<std::weak_ptr<int>> watches;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      auto p = std::make_shared<int>(i);
-      watches.push_back(p);
-      ASSERT_TRUE(ring.push(std::move(p)));
-    }
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(ring.pop(out));
-      out.reset();
-    }
-  }
-  for (const auto& w : watches) EXPECT_TRUE(w.expired());
-}
-
-TEST_P(ShardedConformance, SpscRingBackpressuresInsteadOfDropping) {
-  // Tiny rings + a burst far bigger than their capacity: every message
-  // must still arrive (send() and the shard receive path spin instead of
-  // shedding).
-  ShardedOptions so;
-  so.shards = 2;
-  so.backend = GetParam();
-  so.ring_capacity = 8;
-  ShardedTransport hub(0, addresses_, so);
-  hub.start();
-
-  TcpTransport peer(1, addresses_, opts());
-  peer.listen();
-  std::atomic<std::uint64_t> peer_got{0};
-  peer.set_receive([&](NodeId, const Message&) { peer_got.fetch_add(1); });
-
-  constexpr std::uint64_t kBurst = 500;
-  std::thread pump([&] {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (peer_got.load() < kBurst &&
-           std::chrono::steady_clock::now() < deadline) {
-      peer.poll_once(1);
-    }
-  });
-  for (std::uint64_t i = 0; i < kBurst; ++i) {
-    hub.send(1, Message{RmAck{0, i}});  // blocks on the 8-entry ring
-  }
-  pump.join();
-  EXPECT_EQ(peer_got.load(), kBurst);
-  peer.close_all();
-  hub.stop();
-}
-
-TEST_P(ShardedConformance, RecordsRingOccupancyHighWater) {
-  // Tiny rings guarantee the burst actually queues; the hwm gauge must see
-  // a nonzero occupancy and never exceed the ring capacity.
-  obs::Observability obs;
-  ShardedOptions so;
-  so.shards = 2;
-  so.backend = GetParam();
-  so.ring_capacity = 8;
-  ShardedTransport hub(0, addresses_, so);
-  hub.set_observability(&obs);
-  hub.start();
-
-  TcpTransport peer(1, addresses_, opts());
-  peer.listen();
-  std::atomic<std::uint64_t> peer_got{0};
-  peer.set_receive([&](NodeId, const Message&) { peer_got.fetch_add(1); });
-
-  constexpr std::uint64_t kBurst = 500;
-  std::thread pump([&] {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (peer_got.load() < kBurst &&
-           std::chrono::steady_clock::now() < deadline) {
-      peer.poll_once(1);
-    }
-  });
-  for (std::uint64_t i = 0; i < kBurst; ++i) {
-    hub.send(1, Message{RmAck{0, i}});
-  }
-  pump.join();
-  EXPECT_EQ(peer_got.load(), kBurst);
-  const std::int64_t hwm = obs.metrics.gauge_value("net.shard_ring_hwm");
-  EXPECT_GT(hwm, 0);
-  EXPECT_LE(hwm, static_cast<std::int64_t>(so.ring_capacity));
-  peer.close_all();
-  hub.stop();
-}
-
-TEST_P(ShardedConformance, StopDoesNotDeadlockWhenRxRingIsFullAtShutdown) {
-  // Regression: the shard→protocol rx push used to spin unconditionally on
-  // a full ring. With the protocol thread not draining (its prerogative —
-  // it is the one calling stop()), the shard thread spun forever inside
-  // poll_once and stop()'s join() hung. Once stop() begins, pushers must
-  // bail out instead of backpressuring against a consumer that is gone.
-  ShardedOptions so;
-  so.shards = 1;
-  so.backend = GetParam();
-  so.ring_capacity = 8;
-  ShardedTransport hub(0, addresses_, so);
-  hub.start();
-
-  TcpTransport peer(1, addresses_, opts());
-  peer.listen();
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    peer.send(0, Message{RmAck{1, i}});
-  }
-  peer.flush();
-  // Let the shard receive enough frames to fill the 8-entry rx ring and
-  // start spinning; this thread deliberately never calls poll_deliveries.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  hub.stop();  // must return promptly rather than hang on join()
-  peer.close_all();
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ShardedConformance,
-                         ::testing::Values(BackendKind::kPoll,
-                                           BackendKind::kUring),
-                         backend_param_name);
 
 }  // namespace
 }  // namespace fastcast::net

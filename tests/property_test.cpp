@@ -11,13 +11,25 @@
 namespace fastcast::harness {
 namespace {
 
+// gtest prints an unprintable param as its raw bytes, and CTest takes that
+// text into the discovered test name; the padding is therefore spelled out
+// and zeroed so the names do not pick up stack garbage from run to run.
 struct SweepParam {
+  SweepParam(Protocol protocol, std::size_t groups, std::size_t clients,
+             std::uint64_t seed, bool serialize)
+      : protocol(protocol), groups(groups), clients(clients), seed(seed),
+        serialize(serialize) {}
+
   Protocol protocol;
+  std::uint32_t pad0 = 0;
   std::size_t groups;
   std::size_t clients;
   std::uint64_t seed;
   bool serialize;
+  std::uint8_t pad1[7] = {};
 };
+static_assert(sizeof(SweepParam) == 40 && sizeof(Protocol) == 4,
+              "SweepParam must have no implicit padding");
 
 std::string param_name(const testing::TestParamInfo<SweepParam>& info) {
   const auto& p = info.param;
