@@ -1,16 +1,12 @@
 // Ablation benches for the implementation's design choices (DESIGN.md §3):
 //
-//   A. Deferred SYNC-HARD proposals (FastCast). Algorithm 2 as written
-//      proposes every r-delivered SYNC-HARD; when Task 6 will match it
-//      anyway the instance is redundant and competes with the *next*
-//      message's SYNC-SOFT for the proposer pipeline. Measured as WAN
-//      fast-path latency, eager vs deferred.
 //   B. Consensus pipeline depth. A window smaller than
 //      1 + destinations stalls the fast path by a full consensus round.
-//   C. SEND-HARD transmission policy: leader-only (prototype) versus every
-//      member (pseudocode) — message-count overhead for identical results.
 //   D. Reliable-multicast relay: agreement insurance for crashed senders,
-//      priced in messages.
+//      priced in latency.
+//
+// B and D keep their letters so they match the records in EXPERIMENTS.md,
+// which also holds the last numbers of the retired A and C.
 
 #include "bench_util.hpp"
 
@@ -37,23 +33,6 @@ ExperimentConfig wan_fastcast(std::size_t groups) {
 int main(int argc, char** argv) {
   parse_bench_cli(argc, argv, "ablations");
   {
-    Table t("Ablation A — FastCast SYNC-HARD proposal policy, emulated WAN, "
-            "1 client to all groups [median ms (p95)]",
-            {"groups", "deferred (ours)", "eager (Alg. 2 verbatim)"});
-    for (std::size_t g : {2, 4, 8}) {
-      auto cfg = wan_fastcast(g);
-      const auto deferred = run_configured(cfg);
-      note_result("Ablation A", std::to_string(g), "deferred", deferred);
-      cfg.fastcast_eager_hard = true;
-      const auto eager = run_configured(cfg);
-      note_result("Ablation A", std::to_string(g), "eager", eager);
-      t.add_row({std::to_string(g), lat_cell(deferred), lat_cell(eager)});
-    }
-    t.print("eager proposals fill the pipeline with redundant instances and "
-            "stall the next message's fast path");
-  }
-
-  {
     Table t("Ablation B — consensus pipeline depth, FastCast, emulated WAN, "
             "1 client to 4 groups [median ms (p95)]",
             {"window", "latency"});
@@ -66,36 +45,6 @@ int main(int argc, char** argv) {
     }
     t.print("a window below 1 + #destinations serialises the SYNC-SOFT "
             "proposals behind SET-HARD");
-  }
-
-  {
-    Table t("Ablation C — SEND-HARD transmission policy, BaseCast, LAN, "
-            "8 clients to 2 of 4 groups",
-            {"policy", "median ms", "messages sent"});
-    for (auto policy : {TimestampProtocolBase::Config::HardSend::kLeaderOnly,
-                        TimestampProtocolBase::Config::HardSend::kAll}) {
-      ExperimentConfig cfg;
-      cfg.topo.env = Environment::kLan;
-      cfg.topo.groups = 4;
-      cfg.topo.clients = 8;
-      cfg.topo.protocol = Protocol::kBaseCast;
-      cfg.dst_factory = same_dst_for_all(random_subset(4, 2));
-      cfg.warmup = milliseconds(100);
-      cfg.measure = milliseconds(400);
-      cfg.hard_send = policy;
-      const auto r = run_configured(cfg);
-      check_or_warn(r, "ablation C");
-      const bool leader_only =
-          policy == TimestampProtocolBase::Config::HardSend::kLeaderOnly;
-      note_result("Ablation C", leader_only ? "leader-only" : "all members",
-                  "BaseCast", r);
-      t.add_row({leader_only ? "leader-only"
-                     : "all members",
-                 format_ms(r.latency.median()),
-                 fmt_count(static_cast<double>(r.messages_sent))});
-    }
-    t.print("every member transmitting SEND-HARD (the pseudocode) costs "
-            "extra messages for identical delivery results");
   }
 
   {
@@ -121,8 +70,8 @@ int main(int argc, char** argv) {
                  format_ms(r.latency.median()),
                  fmt_count(static_cast<double>(r.messages_sent))});
     }
-    t.print("relaying buys sender-crash agreement at a multiplicative "
-            "message cost");
+    t.print("relaying buys sender-crash agreement for a few percent more "
+            "messages but a multiple of the latency");
   }
   return finish_bench("ablations");
 }

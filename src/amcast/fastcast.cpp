@@ -46,7 +46,7 @@ void FastCast::on_rdeliver(Context& ctx, NodeId origin, const AmcastPayload& pay
     return;
   }
   const TupleId soft_id{TupleKind::kSyncSoft, hard.from_group, hard.mid};
-  if (!options_.eager_hard_propose && !soft_ts.has_value() && known(soft_id)) {
+  if (!soft_ts.has_value() && known(soft_id)) {
     track_deferred(tuple);
     return;
   }

@@ -10,6 +10,17 @@ namespace fastcast {
 
 namespace {
 
+/// Messages (payload mode) or id records (id mode) per proposed value.
+constexpr std::size_t kMaxBatch = 128;
+
+/// Id mode: a replica whose ordered id-record head has no body yet
+/// re-requests it at this interval (backing off ×2 up to 8×).
+constexpr Duration kBodyPullInterval = milliseconds(25);
+
+/// Id mode: delivered bodies retained (FIFO) to serve peers' pull requests
+/// before being dropped.
+constexpr std::size_t kRetainBodies = 8192;
+
 bool addressed_to(const MulticastMessage& msg, GroupId g) {
   return std::find(msg.dst.begin(), msg.dst.end(), g) != msg.dst.end();
 }
@@ -234,7 +245,7 @@ void MultiPaxosAmcast::flush(Context& ctx, bool force) {
     };
     while (!staged_ids_.empty() && cons_.window_open() && ripe()) {
       std::vector<MpIdRecord> batch;
-      const std::size_t n = std::min(staged_ids_.size(), cfg_.max_batch);
+      const std::size_t n = std::min(staged_ids_.size(), kMaxBatch);
       batch.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(staged_ids_.front()));
@@ -257,7 +268,7 @@ void MultiPaxosAmcast::flush(Context& ctx, bool force) {
   }
   while (!staged_.empty() && cons_.window_open()) {
     std::vector<MulticastMessage> batch;
-    const std::size_t n = std::min(staged_.size(), cfg_.max_batch);
+    const std::size_t n = std::min(staged_.size(), kMaxBatch);
     batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       batch.push_back(std::move(staged_.front()));
@@ -371,7 +382,7 @@ void MultiPaxosAmcast::drain_pending(Context& ctx) {
 
 void MultiPaxosAmcast::retain_delivered(MsgId mid) {
   retained_.push_back(mid);
-  while (retained_.size() > cfg_.retain_bodies) {
+  while (retained_.size() > kRetainBodies) {
     bodies_.erase(retained_.front());
     retained_.pop_front();
   }
@@ -380,7 +391,7 @@ void MultiPaxosAmcast::retain_delivered(MsgId mid) {
 void MultiPaxosAmcast::arm_body_pull(Context& ctx) {
   if (pull_armed_ || pending_order_.empty()) return;
   pull_armed_ = true;
-  ctx.set_timer(cfg_.body_pull_interval * pull_backoff_, [this, &ctx] {
+  ctx.set_timer(kBodyPullInterval * pull_backoff_, [this, &ctx] {
     pull_armed_ = false;
     if (pending_order_.empty()) return;  // body arrived meanwhile
     const MpIdRecord& head = pending_order_.front();

@@ -8,8 +8,16 @@
 
 namespace fastcast {
 
+namespace {
+constexpr Duration kReproposeInterval = milliseconds(150);
+}  // namespace
+
 TimestampProtocolBase::TimestampProtocolBase(Config config, NodeId self)
-    : cfg_(std::move(config)), self_(self), rm_(cfg_.rmcast), cons_(cfg_.consensus, self),
+    : cfg_(std::move(config)),
+      self_(self),
+      rm_(RmConfig{.reliable_links = cfg_.consensus.reliable_links,
+                   .relay = cfg_.relay}),
+      cons_(cfg_.consensus, self),
       overload_(cfg_.flow) {
   FC_ASSERT(cfg_.group != kNoGroup);
 
@@ -78,7 +86,7 @@ void TimestampProtocolBase::on_start(Context& ctx) {
   decide_ctx_ = &ctx;
   rm_.on_start(ctx);
   cons_.on_start(ctx);
-  if (cfg_.enable_repropose) arm_repropose(ctx);
+  arm_repropose(ctx);
 }
 
 void TimestampProtocolBase::on_recover(Context& ctx) {
@@ -86,7 +94,7 @@ void TimestampProtocolBase::on_recover(Context& ctx) {
   rm_.on_recover(ctx);
   cons_.on_recover(ctx);
   repropose_armed_ = false;
-  if (cfg_.enable_repropose) arm_repropose(ctx);
+  arm_repropose(ctx);
   // Anything still unordered was in flight when we crashed; queue it for
   // the next proposal round (the leader check inside flush() applies).
   restage_all(ctx);
@@ -248,9 +256,7 @@ void TimestampProtocolBase::handle_set_hard(Context& ctx, const Tuple& tuple) {
     if (buffer_.was_delivered(tuple.mid)) return;
     buffer_.add_entry(ctx, EntryKind::kPendingHard, cfg_.group, ch_, tuple.mid);
     hard_pending_[tuple.mid] = {ch_, tuple.dst};
-    const bool transmit = cfg_.hard_send == Config::HardSend::kAll ||
-                          cons_.is_leader(ctx);
-    if (transmit) {
+    if (cons_.is_leader(ctx)) {
       rm_.multicast(ctx, tuple.dst,
                     AmSendHard{cfg_.group, ch_, tuple.mid, tuple.dst});
     }
@@ -284,9 +290,12 @@ void TimestampProtocolBase::restage_all(Context& ctx) {
 }
 
 void TimestampProtocolBase::arm_repropose(Context& ctx) {
+  // Over reliable links with a fixed leader every staged tuple is decided;
+  // only loss or a leader change can strand one.
+  if (cfg_.consensus.reliable_links && !cfg_.consensus.heartbeats) return;
   if (repropose_armed_) return;
   repropose_armed_ = true;
-  ctx.set_timer(cfg_.repropose_interval, [this, &ctx] {
+  ctx.set_timer(kReproposeInterval, [this, &ctx] {
     repropose_armed_ = false;
     if (!unordered_.empty()) restage_all(ctx);
     arm_repropose(ctx);

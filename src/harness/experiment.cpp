@@ -173,26 +173,17 @@ std::shared_ptr<AtomicMulticast> Cluster::make_protocol(NodeId node, GroupId gro
   cfg.consensus.reliable_links = reliable;
   cfg.consensus.heartbeats = config_.heartbeats;
   cfg.consensus.repair = config_.repair;
-  cfg.rmcast.reliable_links = reliable;
-  cfg.rmcast.relay = config_.relay;
-  cfg.hard_send = config_.hard_send;
-  cfg.enable_repropose = !reliable || config_.heartbeats;
+  cfg.relay = config_.relay;
   cfg.flow = config_.flow;
 
   switch (config_.topo.protocol) {
     case Protocol::kBaseCast:
       return std::make_shared<BaseCast>(std::move(cfg), node);
-    case Protocol::kFastCast: {
-      FastCast::Options opt;
-      opt.eager_hard_propose = config_.fastcast_eager_hard;
-      return std::make_shared<FastCast>(std::move(cfg), node, opt);
-    }
-    case Protocol::kFastCastSlowPath: {
-      FastCast::Options opt;
-      opt.force_slow_path = true;
-      opt.eager_hard_propose = config_.fastcast_eager_hard;
-      return std::make_shared<FastCast>(std::move(cfg), node, opt);
-    }
+    case Protocol::kFastCast:
+      return std::make_shared<FastCast>(std::move(cfg), node);
+    case Protocol::kFastCastSlowPath:
+      return std::make_shared<FastCast>(std::move(cfg), node,
+                                        FastCast::Options{.force_slow_path = true});
     case Protocol::kMultiPaxos: break;  // handled above
   }
   FC_ASSERT(false);

@@ -30,11 +30,6 @@ class FastCast final : public TimestampProtocolBase {
  public:
   struct Options {
     bool force_slow_path = false;
-    /// Propose every received SYNC-HARD immediately (Algorithm 2 verbatim)
-    /// instead of deferring while its SYNC-SOFT is pending. The redundant
-    /// instances compete with the next message's SYNC-SOFT proposals for
-    /// the pipeline — the ablation bench quantifies the cost.
-    bool eager_hard_propose = false;
   };
 
   FastCast(Config config, NodeId self, Options options)

@@ -43,7 +43,6 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   struct Config {
     paxos::GroupConsensus::Config consensus;  ///< the fixed ordering group
     GroupId my_group = kNoGroup;  ///< delivery filter; kNoGroup on orderers
-    std::size_t max_batch = 128;  ///< messages/records per proposed value
 
     enum class Ordering {
       kPayload,  ///< full payload batches through consensus (baseline)
@@ -58,14 +57,6 @@ class MultiPaxosAmcast final : public AtomicMulticast {
     /// latency for fewer, fuller consensus instances.
     std::size_t batch_fill = 1;
     Duration batch_delay = 0;
-
-    /// Id-mode body recovery: a replica whose ordered id-record head has no
-    /// body yet re-requests it at this interval (backing off ×2 up to 8×).
-    Duration body_pull_interval = milliseconds(25);
-
-    /// Id-mode: delivered bodies retained (FIFO) to serve peers' pull
-    /// requests before being dropped.
-    std::size_t retain_bodies = 8192;
 
     /// Admission control (DESIGN.md §14). The ordering leader is the one
     /// real admission point of the non-genuine protocol: a submission it

@@ -26,12 +26,12 @@
 ///   * only the group leader proposes (Task 3/4 "when ToOrder\Ordered≠∅"
 ///     runs at every process in the paper; with Paxos that just produces
 ///     collisions) — staged tuples are re-proposed on leader change and,
-///     when losses or elections are enabled, on a periodic tick;
-///   * SEND-HARD is transmitted by the leader only (configurable to "all
-///     members" to match the pseudocode literally); the hard timestamp is
-///     deterministic across members, so receivers cannot observe the
-///     difference except in message counts. A new leader re-sends pending
-///     SEND-HARDs so the slow path survives leader crashes.
+///     when links are lossy or heartbeats elect leaders, on a periodic tick;
+///   * SEND-HARD is transmitted by the leader only (the pseudocode has
+///     every member send it); the hard timestamp is deterministic across
+///     members, so receivers cannot observe the difference except in
+///     message counts. A new leader re-sends pending SEND-HARDs so the slow
+///     path survives leader crashes.
 
 namespace fastcast {
 
@@ -39,19 +39,11 @@ class TimestampProtocolBase : public AtomicMulticast {
  public:
   struct Config {
     GroupId group = kNoGroup;
+    /// Also decides the reliable multicast's link model: both layers use
+    /// consensus.reliable_links. Lossy links or heartbeats arm the periodic
+    /// re-propose tick that liveness then needs.
     paxos::GroupConsensus::Config consensus;
-    RmConfig rmcast;
-
-    enum class HardSend {
-      kLeaderOnly,  ///< leader transmits SEND-HARD (prototype behaviour)
-      kAll,         ///< every member transmits (pseudocode behaviour)
-    };
-    HardSend hard_send = HardSend::kLeaderOnly;
-
-    /// Periodically re-propose unordered tuples; required for liveness
-    /// under message loss or leader re-election.
-    bool enable_repropose = false;
-    Duration repropose_interval = milliseconds(150);
+    RmConfig::Relay relay = RmConfig::Relay::kNone;
 
     /// Overload detection (DESIGN.md §14). Genuine protocols CANNOT shed a
     /// message once it is reliably multicast — a tentative timestamp staged

@@ -63,8 +63,6 @@ struct ExperimentConfig {
   /// State transfer + watermark pruning (src/repair). Off by default so
   /// baseline message counts are untouched; lag scenarios switch it on.
   repair::Options repair;
-  TimestampProtocolBase::Config::HardSend hard_send =
-      TimestampProtocolBase::Config::HardSend::kLeaderOnly;
   std::size_t payload_size = 64;
   /// >0 switches every client to an open loop: a new multicast every
   /// interval regardless of outstanding acks, so offered load is
@@ -77,8 +75,6 @@ struct ExperimentConfig {
   flow::Options flow;
   /// Client-side robustness (deadlines, timeouts, backoff, retry budget).
   flow::ClientOptions client_flow;
-  /// Ablation: Algorithm-2-verbatim eager SYNC-HARD proposals in FastCast.
-  bool fastcast_eager_hard = false;
 
   // Durability. With durable on, every replica gets a storage::NodeStorage
   // (in-memory backend unless wal_dir names a real directory) attached to

@@ -57,12 +57,12 @@ struct Options {
   Duration announce_interval = milliseconds(40);
   InstanceId lag_threshold = 64;     ///< frontier gap that triggers a transfer
   std::size_t chunk_entries = 256;   ///< decided entries per RepairSnapshot
-  std::size_t max_chunks_per_request = 16;  ///< chunk budget per transfer
-  Duration transfer_timeout = milliseconds(200);
-  bool prune = true;
 
   friend bool operator==(const Options&, const Options&) = default;
 };
+
+/// A transfer with no chunk for this long is abandoned for another server.
+inline constexpr Duration kTransferTimeout = milliseconds(200);
 
 /// One decided (instance, value) pair shipped inside a RepairSnapshot.
 struct RepairEntry {

@@ -61,12 +61,6 @@ class ReliableMulticast {
       std::function<void(Context&, NodeId origin, const AmcastPayload&)>;
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  /// Enables relaying only on nodes where `relay_if` returns true (e.g. the
-  /// group leader); unset means the RmConfig::relay policy applies as-is.
-  void set_relay_predicate(std::function<bool()> pred) {
-    relay_pred_ = std::move(pred);
-  }
-
   /// r-multicast(inner) to every member of every group in `dst`.
   void multicast(Context& ctx, const std::vector<GroupId>& dst,
                  AmcastPayload inner);
@@ -111,7 +105,6 @@ class ReliableMulticast {
 
   RmConfig config_;
   DeliverFn deliver_;
-  std::function<bool()> relay_pred_;
 
   // Sender side.
   struct Staged {

@@ -12,6 +12,9 @@ namespace fastcast::repair {
 
 namespace {
 
+/// Chunks pulled per transfer before lag detection re-evaluates.
+constexpr std::size_t kMaxChunksPerRequest = 16;
+
 void count(Context& ctx, const char* name, std::uint64_t n = 1) {
   if (auto* o = ctx.obs()) o->metrics.counter(name).inc(n);
 }
@@ -134,8 +137,7 @@ void RepairCoordinator::announce(Context& ctx) {
   // A stalled transfer (server crashed, chunk corrupted away) would
   // otherwise pin transfer_active_ forever; time it out on the announce
   // tick and let lag detection pick a different server.
-  if (transfer_active_ &&
-      ctx.now() - last_chunk_at_ > cfg_.options.transfer_timeout) {
+  if (transfer_active_ && ctx.now() - last_chunk_at_ > kTransferTimeout) {
     count(ctx, "repair.transfer_timeouts");
     last_failed_server_ = transfer_server_;
     transfer_active_ = false;
@@ -146,7 +148,6 @@ void RepairCoordinator::announce(Context& ctx) {
 }
 
 void RepairCoordinator::maybe_prune(Context& ctx) {
-  if (!cfg_.options.prune) return;
   // Every configured learner must have announced at least once: a silent
   // peer may still need instance 0, so its silence blocks pruning rather
   // than being ignored.
@@ -290,7 +291,7 @@ void RepairCoordinator::on_snapshot(Context& ctx, NodeId from,
   }
 
   ++chunks_fetched_;
-  if (!msg.last && chunks_fetched_ < cfg_.options.max_chunks_per_request) {
+  if (!msg.last && chunks_fetched_ < kMaxChunksPerRequest) {
     // Pull the next chunk; one outstanding request at a time keeps the
     // transfer immune to link-level reordering.
     ctx.send(transfer_server_, Message{RepairRequest{cfg_.group, expect_next_}});

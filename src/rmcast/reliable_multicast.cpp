@@ -130,9 +130,7 @@ bool ReliableMulticast::handle(Context& ctx, NodeId from, const Message& msg) {
 }
 
 void ReliableMulticast::deliver_frame(Context& ctx, const RmData& frame) {
-  const bool should_relay =
-      config_.relay == RmConfig::Relay::kSelf && (!relay_pred_ || relay_pred_());
-  if (should_relay) relay(ctx, frame);
+  if (config_.relay == RmConfig::Relay::kSelf) relay(ctx, frame);
   if (deliver_) {
     if (auto* o = ctx.obs()) {
       o->trace(mid_of(frame.inner), obs::SpanEventKind::kRdeliver, ctx.self(),

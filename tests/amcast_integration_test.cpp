@@ -79,15 +79,6 @@ TEST(BaseCast, ThreeDeltaLatencyForLocalMessages) {
   EXPECT_LT(to_milliseconds(r.latency.median()), 90.0);
 }
 
-TEST(BaseCast, HardSendAllPolicyMatchesPseudocode) {
-  auto cfg = base_config(Protocol::kBaseCast, 2, 2);
-  cfg.hard_send = TimestampProtocolBase::Config::HardSend::kAll;
-  cfg.dst_factory = same_dst_for_all(all_groups(2));
-  const auto r = run_experiment(cfg);
-  EXPECT_TRUE(r.drained);
-  EXPECT_TRUE(r.report.ok) << r.report.violations[0];
-}
-
 TEST(BaseCast, SerializedMessagesModeWorks) {
   // Every unicast goes through encode+decode — proves the protocols only
   // rely on what the wire format carries.

@@ -175,8 +175,6 @@ TEST(TcpClusterDurable, RestartsFromDiskAndRejoins) {
     pc.consensus.group = g;
     pc.consensus.members = membership.members(g);
     pc.consensus.reliable_links = false;
-    pc.rmcast.reliable_links = false;
-    pc.enable_repropose = true;
     return std::make_shared<FastCast>(pc, n);
   };
   // Restart re-externalizes in-doubt deliveries at-least-once; the

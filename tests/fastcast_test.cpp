@@ -130,21 +130,6 @@ TEST(FastCast, FastAndSlowPathsDeliverConsistentCrossGroupOrders) {
   }
 }
 
-TEST(FastCast, EagerHardProposalModeIsEquallyCorrect) {
-  // The Algorithm-2-verbatim variant (no SYNC-HARD deferral) must satisfy
-  // the same properties; only performance differs (see bench/ablations).
-  auto cfg = wan_config(Protocol::kFastCast, 3, 6);
-  cfg.topo.env = Environment::kLan;
-  cfg.warmup = milliseconds(10);
-  cfg.measure = milliseconds(200);
-  cfg.fastcast_eager_hard = true;
-  cfg.dst_factory = same_dst_for_all(random_subset(3, 2));
-  const auto r = run_experiment(cfg);
-  EXPECT_TRUE(r.drained);
-  EXPECT_TRUE(r.report.ok) << r.report.violations[0];
-  EXPECT_GT(r.fast_path_hits, 0u);
-}
-
 TEST(FastCast, SoftClockNeverTrailsHardClock) {
   auto cfg = wan_config(Protocol::kFastCast, 2, 4);
   cfg.topo.env = Environment::kLan;

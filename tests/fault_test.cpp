@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "fastcast/harness/experiment.hpp"
 
 namespace fastcast::harness {
@@ -181,6 +184,17 @@ TEST(Faults, RelayingToleratesSenderCrashForInFlightMessages) {
   cfg.dst_factory = same_dst_for_all(random_subset(2, 2));
   Cluster cluster(cfg);
   const NodeId client0 = cluster.deployment().clients[0];
+  // From 24 ms the client's frames no longer reach group 1, so whatever it
+  // multicasts just before its 25 ms crash lands in group 0 only. Without
+  // relaying group 1 never learns of it, group 0 waits forever for group
+  // 1's timestamp, and surviving senders' messages queue behind it.
+  const std::vector<NodeId> group1 =
+      cluster.deployment().membership.members(1);
+  cluster.simulator().set_link_filter(
+      [client0, group1](NodeId from, NodeId to, Time at) {
+        return from != client0 || at < milliseconds(24) ||
+               std::find(group1.begin(), group1.end(), to) == group1.end();
+      });
   cluster.simulator().schedule_crash(client0, milliseconds(25));
   cluster.checker().note_crashed(client0);
   cluster.start();

@@ -213,8 +213,7 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::pair<std::size_t, std::uint64_t> delivery_fingerprint(Protocol proto,
-                                                           std::uint64_t seed) {
+ExperimentConfig fingerprint_config(Protocol proto, std::uint64_t seed) {
   ExperimentConfig cfg;
   cfg.topo.env = Environment::kLan;
   cfg.topo.groups = 2;
@@ -225,6 +224,13 @@ std::pair<std::size_t, std::uint64_t> delivery_fingerprint(Protocol proto,
     if (i % 2 == 0) return fixed_group(static_cast<GroupId>(i % 2));
     return random_subset(2, 2);
   };
+  return cfg;
+}
+
+/// Clients stop at 150 ms. Lossy links and heartbeats keep timers armed
+/// forever, so those runs stop at a fixed 1 s horizon instead of at idle.
+std::pair<std::size_t, std::uint64_t> delivery_fingerprint(
+    const ExperimentConfig& cfg) {
   Cluster cluster(cfg);
   std::map<NodeId, std::vector<MsgId>> orders;
   for (NodeId n : cluster.deployment().membership.all_replicas()) {
@@ -235,7 +241,11 @@ std::pair<std::size_t, std::uint64_t> delivery_fingerprint(Protocol proto,
   }
   cluster.start();
   cluster.stop_clients(milliseconds(150));
-  cluster.simulator().run_to_idle(seconds(30));
+  if (cfg.drop_probability > 0.0 || cfg.heartbeats) {
+    cluster.simulator().run_until(seconds(1));
+  } else {
+    cluster.simulator().run_to_idle(seconds(30));
+  }
   std::uint64_t h = 1469598103934665603ULL;
   std::size_t count = 0;
   for (const auto& [n, mids] : orders) {
@@ -244,6 +254,11 @@ std::pair<std::size_t, std::uint64_t> delivery_fingerprint(Protocol proto,
     count += mids.size();
   }
   return {count, h};
+}
+
+std::pair<std::size_t, std::uint64_t> delivery_fingerprint(Protocol proto,
+                                                           std::uint64_t seed) {
+  return delivery_fingerprint(fingerprint_config(proto, seed));
 }
 
 TEST(DeliveryDeterminism, FastCastSeed42MatchesSeedTree) {
@@ -262,6 +277,29 @@ TEST(DeliveryDeterminism, BaseCastSeed42MatchesSeedTree) {
   const auto [count, hash] = delivery_fingerprint(Protocol::kBaseCast, 42);
   EXPECT_EQ(count, 2388u);
   EXPECT_EQ(hash, 14387120508232805152ULL);
+}
+
+// Lossy links with re-election: covers rmcast retransmission, consensus
+// retries and the periodic repropose tick.
+TEST(DeliveryDeterminism, FastCastLossySeed42MatchesSeedTree) {
+  ExperimentConfig cfg = fingerprint_config(Protocol::kFastCast, 42);
+  cfg.drop_probability = 0.01;
+  cfg.heartbeats = true;
+  const auto [count, hash] = delivery_fingerprint(cfg);
+  EXPECT_EQ(count, 810u);
+  EXPECT_EQ(hash, 18415896275635169836ULL);
+}
+
+// Id-mode MultiPaxos with batching: covers body dissemination, batch
+// accumulation and body retention.
+TEST(DeliveryDeterminism, MultiPaxosIdsBatchedSeed42MatchesSeedTree) {
+  ExperimentConfig cfg = fingerprint_config(Protocol::kMultiPaxos, 42);
+  cfg.mp_ordering = ExperimentConfig::MpOrdering::kIds;
+  cfg.mp_batch_fill = 16;
+  cfg.mp_batch_delay = microseconds(200);
+  const auto [count, hash] = delivery_fingerprint(cfg);
+  EXPECT_EQ(count, 2421u);
+  EXPECT_EQ(hash, 539767627240762616ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -317,8 +317,6 @@ TEST(TcpCluster, SurvivesKilledAndRestartedNode) {
     // Lossy-link machinery on: the victim's reconnect window behaves like
     // loss, and the restarted node relies on retransmission + catch-up.
     pc.consensus.reliable_links = false;
-    pc.rmcast.reliable_links = false;
-    pc.enable_repropose = true;
     auto node = std::make_shared<ReplicaNode>(std::make_shared<FastCast>(pc, n));
     node->add_observer([&mu, &checker](Context& ctx, const MulticastMessage& m) {
       std::lock_guard<std::mutex> lock(mu);

@@ -178,7 +178,6 @@ struct CoordinatorFixture : ::testing::Test {
     cfg.options.announce_interval = milliseconds(10);
     cfg.options.lag_threshold = 4;
     cfg.options.chunk_entries = 8;
-    options = cfg.options;
 
     RepairCoordinator::Hooks hooks;
     hooks.settled = [this] { return repair::Settled{settled, clock}; };
@@ -227,7 +226,6 @@ struct CoordinatorFixture : ::testing::Test {
   }
 
   FakeContext ctx;
-  repair::Options options;
   InstanceId settled = 0;
   std::uint64_t clock = 0;
   InstanceId frontier = 0;
@@ -469,8 +467,8 @@ TEST_F(CoordinatorFixture, StalledTransferTimesOutTowardAnotherPeer) {
   announce_from(2, 45, 55);
   ASSERT_TRUE(coord->transfer_active());
   ASSERT_EQ(sent_to<RepairRequest>(1).size(), 1u);
-  // No chunk ever arrives; announce ticks past transfer_timeout re-target.
-  ctx.run_until(options.transfer_timeout + milliseconds(50));
+  // No chunk ever arrives; announce ticks past kTransferTimeout re-target.
+  ctx.run_until(repair::kTransferTimeout + milliseconds(50));
   EXPECT_GE(sent_to<RepairRequest>(2).size(), 1u);
 }
 
