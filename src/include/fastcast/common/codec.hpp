@@ -47,7 +47,7 @@ class Writer {
 
   /// Unsigned LEB128 varint; compact for small values (sequence numbers,
   /// sizes) which dominate the wire traffic. The plain loop: unrolling its
-  /// 1- and 2-byte tiers measured slower, so only the reader is unrolled.
+  /// 1- and 2-byte tiers measured slower.
   void varint(std::uint64_t v) {
     while (v >= 0x80) {
       u8(static_cast<std::uint8_t>(v | 0x80));
@@ -113,19 +113,14 @@ class Reader {
   }
 
   /// LEB128 decode with a 1-byte fast path (the dominant case on this
-  /// wire) and a bounds-check-free unrolled path whenever >=10 bytes
-  /// remain — an encoded u64 never exceeds 10 bytes, so only reads near
-  /// the end of the buffer need the per-byte ensure() of the slow loop.
-  /// Accepts/rejects exactly what the slow loop does.
+  /// wire) ahead of the bounds-checked loop.
   std::uint64_t varint() {
-    const std::size_t rem = remaining();
-    if (rem > 0) [[likely]] {
+    if (pos_ < data_.size()) [[likely]] {
       const auto b0 = static_cast<std::uint8_t>(data_[pos_]);
       if ((b0 & 0x80) == 0) {
         ++pos_;
         return b0;
       }
-      if (rem >= 10) return varint_unrolled();
     }
     return varint_slow();
   }
@@ -148,36 +143,6 @@ class Reader {
   }
 
  private:
-  /// Continuation byte confirmed and >=10 bytes available: decode without
-  /// per-byte bounds checks. The macro unrolls what the slow loop does at
-  /// shift 7i; byte 9 lands at shift 63 with the same silent truncation of
-  /// high bits, and a continuation bit on byte 9 fails exactly like the
-  /// slow loop's shift > 63 guard.
-  std::uint64_t varint_unrolled() {
-    const std::byte* p = data_.data() + pos_;
-    std::uint64_t v = static_cast<std::uint8_t>(p[0]) & 0x7fu;
-#define FASTCAST_VARINT_STEP(i)                                     \
-  {                                                                 \
-    const auto b = static_cast<std::uint8_t>(p[i]);                 \
-    v |= static_cast<std::uint64_t>(b & 0x7f) << (7 * (i));         \
-    if ((b & 0x80) == 0) {                                          \
-      pos_ += (i) + 1;                                              \
-      return v;                                                     \
-    }                                                               \
-  }
-    FASTCAST_VARINT_STEP(1)
-    FASTCAST_VARINT_STEP(2)
-    FASTCAST_VARINT_STEP(3)
-    FASTCAST_VARINT_STEP(4)
-    FASTCAST_VARINT_STEP(5)
-    FASTCAST_VARINT_STEP(6)
-    FASTCAST_VARINT_STEP(7)
-    FASTCAST_VARINT_STEP(8)
-    FASTCAST_VARINT_STEP(9)
-#undef FASTCAST_VARINT_STEP
-    return fail_zero();  // 11th byte would need shift > 63
-  }
-
   std::uint64_t varint_slow() {
     std::uint64_t v = 0;
     int shift = 0;

@@ -10,8 +10,8 @@
 /// node contexts or TCP node threads) via Context::set_observability. The
 /// hook on Context is a plain pointer, null by default: with observability
 /// disabled every instrumentation site is a single pointer test, so the hot
-/// paths stay at their uninstrumented cost (verified against the
-/// micro_substrate baseline).
+/// paths stay at their uninstrumented cost. perfbench's
+/// `obs.trace_overhead` measures what span tracing adds on top.
 ///
 /// Metrics are always live once the bundle is installed; span tracing is
 /// additionally gated by `tracing` because recording per-message events

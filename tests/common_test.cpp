@@ -129,10 +129,10 @@ TEST(Codec, VarintBoundaries) {
   }
 }
 
-/// Pins the exact LEB128 byte sequences. The writer and the reader's fast
-/// paths (1-byte early exit, the unrolled >=10-bytes-remaining decoder)
-/// must stay byte-identical to the canonical encoding — any deviation is
-/// a wire-format break, not a perf tweak.
+/// Pins the exact LEB128 byte sequences. The writer and the reader (its
+/// 1-byte early exit and the bounds-checked loop) must stay byte-identical
+/// to the canonical encoding — any deviation is a wire-format break, not a
+/// perf tweak.
 TEST(Codec, VarintGoldenBytes) {
   struct Golden {
     std::uint64_t value;
@@ -160,13 +160,13 @@ TEST(Codec, VarintGoldenBytes) {
       EXPECT_EQ(static_cast<std::uint8_t>(w.data()[i]), g.wire[i])
           << "value " << g.value << " byte " << i;
     }
-    // Decode via the unrolled path (pad so >=10 bytes remain)...
+    // Decode with 10 spare bytes after the value...
     std::vector<std::byte> padded(w.data().begin(), w.data().end());
     padded.resize(padded.size() + 10);
     Reader fast(padded);
     EXPECT_EQ(fast.varint(), g.value);
     EXPECT_TRUE(fast.ok());
-    // ...and via the tail path (exact-size buffer, per-byte checks).
+    // ...and from an exact-size buffer.
     Reader slow(w.data());
     EXPECT_EQ(slow.varint(), g.value);
     EXPECT_TRUE(slow.ok());
@@ -177,23 +177,24 @@ TEST(Codec, VarintRejectsOverlongOnBothDecodePaths) {
   // 11 continuation-flagged bytes: invalid however many bytes remain.
   std::vector<std::byte> overlong(11, std::byte{0xff});
   overlong.push_back(std::byte{0x00});
-  Reader fast(overlong);  // >= 10 remaining: unrolled path
+  Reader fast(overlong);  // >= 10 remaining: fails on the 11th byte
   fast.varint();
   EXPECT_FALSE(fast.ok());
 
   std::vector<std::byte> truncated(3, std::byte{0x80});
-  Reader tail(truncated);  // < 10 remaining: slow path, runs off the end
+  Reader tail(truncated);  // < 10 remaining: runs off the end
   tail.varint();
   EXPECT_FALSE(tail.ok());
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial varint fuzzing. Reader::varint has three routes — the 1-byte
-// fast path, the bounds-check-free unrolled decoder (>=10 bytes remaining)
-// and the per-byte tail loop — which must accept/reject exactly the same
-// byte strings with the same value and consumed length. The oracle below is
-// a third, deliberately naive LEB128 decoder written straight from the spec,
-// so a shared bug in the two production paths still gets caught.
+// Adversarial varint fuzzing. Reader::varint — a 1-byte fast path ahead of
+// a bounds-checked loop — must accept/reject exactly the same byte strings
+// with the same value and consumed length whatever trails them: nothing
+// (the buffer ends with the value) or spare bytes (it must stop at the
+// value's own terminator). The oracle below is a deliberately naive LEB128
+// decoder written straight from the spec, so a bug in the production
+// reader still gets caught.
 
 struct VarintOracle {
   std::uint64_t value = 0;
@@ -227,13 +228,13 @@ TEST(Codec, VarintFuzzRoundTripBothPaths) {
     if (bits < 64) v &= (1ULL << bits) - 1;
     Writer w;
     w.varint(v);
-    // Exact-size buffer: multi-byte values take the per-byte tail loop.
+    // Exact-size buffer: the value ends the input.
     Reader tail(w.data());
     ASSERT_EQ(tail.varint(), v);
     ASSERT_TRUE(tail.ok());
     ASSERT_TRUE(tail.at_end());
-    // Adversarial 0xff padding (continuation bit everywhere): the unrolled
-    // path must stop at the value's own terminator, never read on.
+    // Adversarial 0xff padding (continuation bit everywhere): the reader
+    // must stop at the value's own terminator, never read on.
     std::vector<std::byte> padded(w.data().begin(), w.data().end());
     padded.resize(padded.size() + 10, std::byte{0xff});
     Reader fast(padded);
@@ -246,8 +247,8 @@ TEST(Codec, VarintFuzzRoundTripBothPaths) {
 TEST(Codec, VarintFuzzRandomBytesMatchOracle) {
   Rng rng(0xfacade);
   for (int iter = 0; iter < 20000; ++iter) {
-    // Continuation-biased bytes reach the deep unroll tiers far more often
-    // than uniform bytes would (a uniform byte terminates half the time).
+    // Continuation-biased bytes reach long encodings far more often than
+    // uniform bytes would (a uniform byte terminates half the time).
     const auto len = static_cast<std::size_t>(1 + rng.uniform(14));
     std::vector<std::byte> buf(len);
     for (auto& slot : buf) {
@@ -256,14 +257,14 @@ TEST(Codec, VarintFuzzRandomBytesMatchOracle) {
       slot = std::byte{b};
     }
     const VarintOracle want = reference_varint(buf);
-    Reader r(buf);  // len >= 10 takes the unrolled path, < 10 the tail loop
+    Reader r(buf);  // len 1..14: truncated, valid and overlong inputs
     const std::uint64_t got = r.varint();
     ASSERT_EQ(r.ok(), want.ok) << "len " << len;
     if (!want.ok) continue;
     ASSERT_EQ(got, want.value);
     ASSERT_EQ(buf.size() - r.remaining(), want.consumed);
     // The same logical bytes must decode identically however much trails
-    // them: exact size (tail loop) vs >=10 spare bytes (unrolled).
+    // them: exact size vs 10 spare bytes.
     std::vector<std::byte> exact(buf.begin(),
                                  buf.begin() + static_cast<std::ptrdiff_t>(
                                                    want.consumed));
@@ -287,14 +288,14 @@ TEST(Codec, VarintFuzzBoundaryTruncations) {
     const auto& wire = w.data();
     for (std::size_t k = 0; k < wire.size(); ++k) {
       // Every proper prefix ends on a continuation byte. The exact-size
-      // reader (tail loop) must fail cleanly...
+      // reader must fail cleanly...
       std::vector<std::byte> prefix(wire.begin(),
                                     wire.begin() + static_cast<std::ptrdiff_t>(k));
       Reader t(prefix);
       t.varint();
       ASSERT_FALSE(t.ok()) << "prefix " << k << " of " << wire.size();
-      // ...while the same prefix with garbage appended (unrolled path once
-      // >=10 bytes remain) must agree with the oracle byte-for-byte —
+      // ...while the same prefix with garbage appended must agree with
+      // the oracle byte-for-byte —
       // whether that means failing or decoding a different value.
       prefix.resize(k + 11);
       for (std::size_t i = k; i < prefix.size(); ++i) {
