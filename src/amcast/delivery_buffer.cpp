@@ -9,18 +9,48 @@
 
 namespace fastcast {
 
+TupleState* DeliveryBuffer::Record::tuple(TupleKind kind, GroupId group) {
+  for (TupleState& t : tuples) {
+    if (t.kind == kind && t.group == group) return &t;
+  }
+  return nullptr;
+}
+
+bool DeliveryBuffer::was_delivered(MsgId mid) const {
+  const auto hw = start_hw_.find(msg_id_sender(mid));
+  return hw != start_hw_.end() && msg_id_seq(mid) <= hw->second &&
+         !msgs_.contains(mid);
+}
+
+DeliveryBuffer::Record* DeliveryBuffer::record(MsgId mid) {
+  if (auto it = msgs_.find(mid); it != msgs_.end()) return &it->second;
+  if (was_delivered(mid)) return nullptr;
+  return &msgs_[mid];
+}
+
+DeliveryBuffer::Record* DeliveryBuffer::find(MsgId mid) {
+  const auto it = msgs_.find(mid);
+  return it == msgs_.end() ? nullptr : &it->second;
+}
+
+void DeliveryBuffer::raise_start_hw(MsgId mid) {
+  const auto [it, inserted] = start_hw_.try_emplace(msg_id_sender(mid), msg_id_seq(mid));
+  if (!inserted && it->second < msg_id_seq(mid)) it->second = msg_id_seq(mid);
+}
+
 void DeliveryBuffer::note_dst(MsgId mid, const std::vector<GroupId>& dst) {
-  if (delivered_.contains(mid)) return;
-  auto& pm = msgs_[mid];
-  if (!pm.dst_known) {
-    pm.dst = dst;
-    pm.dst_known = true;
+  Record* rec = record(mid);
+  if (rec != nullptr && !rec->dst_known) {
+    rec->dst = dst;
+    rec->dst_known = true;
   }
 }
 
 void DeliveryBuffer::store_body(Context& ctx, const MulticastMessage& msg) {
-  if (delivered_.contains(msg.id)) return;
-  auto& pm = msgs_[msg.id];
+  Record* rec = record(msg.id);
+  if (rec == nullptr) return;
+  raise_start_hw(msg.id);
+  auto& pm = *rec;
   if (!pm.body.has_value()) {
     pm.body = msg;
     note_dst(msg.id, msg.dst);
@@ -36,13 +66,13 @@ void DeliveryBuffer::store_body(Context& ctx, const MulticastMessage& msg) {
   }
 }
 
-void DeliveryBuffer::restore_delivered(const std::set<MsgId>& delivered) {
-  delivered_.insert(delivered.begin(), delivered.end());
-}
+void DeliveryBuffer::restore_started(MsgId mid) { raise_start_hw(mid); }
 
 void DeliveryBuffer::restore_body(const MulticastMessage& msg) {
-  if (delivered_.contains(msg.id)) return;
-  auto& pm = msgs_[msg.id];
+  Record* rec = record(msg.id);
+  if (rec == nullptr) return;
+  raise_start_hw(msg.id);
+  auto& pm = *rec;
   // Unlike store_body this does not attempt delivery when final_formed is
   // set — and must not need to: restore_body runs only from
   // restore_durable, before any add_entry, and timestamps are never
@@ -70,8 +100,9 @@ bool DeliveryBuffer::has_body(MsgId mid) const {
 
 void DeliveryBuffer::add_entry(Context& ctx, EntryKind kind, GroupId group,
                                Ts ts, MsgId mid) {
-  if (delivered_.contains(mid)) return;
-  auto& pm = msgs_[mid];
+  Record* rec = record(mid);
+  if (rec == nullptr) return;
+  auto& pm = *rec;
   // A SYNC-SOFT can be ordered after the slow path already completed the
   // message's FINAL; it is no longer relevant (the paper's B would keep it
   // forever, blocking deliveries — see DESIGN.md).
@@ -112,6 +143,19 @@ void DeliveryBuffer::remove_pending_hard(Context& ctx, MsgId mid, GroupId group)
   }
 }
 
+std::vector<std::pair<MsgId, Ts>> DeliveryBuffer::pending_hards(GroupId group) const {
+  std::vector<std::pair<MsgId, Ts>> out;
+  for (const auto& [mid, rec] : msgs_) {
+    for (const Entry& e : rec.entries) {
+      if (e.kind == EntryKind::kPendingHard && e.group == group) {
+        out.emplace_back(mid, e.ts);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::optional<Ts> DeliveryBuffer::sync_soft_ts(MsgId mid, GroupId group) const {
   auto it = msgs_.find(mid);
   if (it == msgs_.end()) return std::nullopt;
@@ -130,7 +174,7 @@ bool DeliveryBuffer::has_sync_hard(MsgId mid, GroupId group) const {
   return false;
 }
 
-void DeliveryBuffer::try_form_final(Context& ctx, MsgId mid, PerMessage& pm) {
+void DeliveryBuffer::try_form_final(Context& ctx, MsgId mid, Record& pm) {
   (void)ctx;
   if (pm.final_formed || !pm.dst_known) return;
   if (pm.sync_hard_count < pm.dst.size()) return;
@@ -171,16 +215,14 @@ void DeliveryBuffer::try_deliver(Context& ctx) {
 
     auto it = msgs_.find(f.mid);
     FC_ASSERT(it != msgs_.end());
-    PerMessage& pm = it->second;
-    if (!pm.body.has_value()) return;  // START still in flight; stall
+    if (!it->second.body.has_value()) return;  // START still in flight; stall
 
-    const MulticastMessage body = std::move(*pm.body);
+    // The record retires here; the upcall sees it one last time.
+    const auto retired = msgs_.extract(it);
     finals_.erase(finals_.begin());
     blocking_.erase(blocking_.find(f));
-    msgs_.erase(it);
-    delivered_.insert(f.mid);
     ++delivered_count_;
-    if (deliver_) deliver_(ctx, body);
+    if (deliver_) deliver_(ctx, *retired.mapped().body, retired.mapped());
   }
 }
 

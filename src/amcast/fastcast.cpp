@@ -35,8 +35,7 @@ void FastCast::on_rdeliver(Context& ctx, NodeId origin, const AmcastPayload& pay
   buffer_.note_dst(hard.mid, hard.dst);
   const Tuple tuple{TupleKind::kSyncHard, hard.from_group, hard.ts, hard.mid,
                     hard.dst};
-  const TupleId id = id_of(tuple);
-  if (known(id)) {
+  if (find_tuple(id_of(tuple)) != nullptr) {
     try_task6(ctx, tuple);
     return;
   }
@@ -46,8 +45,8 @@ void FastCast::on_rdeliver(Context& ctx, NodeId origin, const AmcastPayload& pay
     return;
   }
   const TupleId soft_id{TupleKind::kSyncSoft, hard.from_group, hard.mid};
-  if (!soft_ts.has_value() && known(soft_id)) {
-    track_deferred(tuple);
+  if (!soft_ts.has_value() && find_tuple(soft_id) != nullptr) {
+    track(tuple);
     return;
   }
   stage(ctx, tuple);
@@ -60,14 +59,16 @@ void FastCast::before_propose(Context& ctx, const std::vector<Tuple>& batch) {
   for (const Tuple& t : batch) {
     if (t.kind == TupleKind::kSetHard) {
       ++cs_;
-      if (t.dst.size() > 1 && !soft_sent_.contains(t.mid)) {
-        soft_sent_.insert(t.mid);
+      // One guess per message: a re-proposed SET-HARD keeps the first.
+      DeliveryBuffer::Record* rec =
+          t.dst.size() > 1 ? buffer_.find(t.mid) : nullptr;
+      if (rec != nullptr && !rec->soft_guess.has_value()) {
         const Ts wire_ts = options_.force_slow_path ? cs_ + kForcedSlowOffset : cs_;
+        rec->soft_guess = wire_ts;
         ++guesses_sent_;
         if (auto* o = ctx.obs()) {
           o->metrics.counter("fastcast.guesses_sent").inc();
         }
-        sent_guess_.emplace(t.mid, wire_ts);
         rm_.multicast(ctx, t.dst, AmSendSoft{cfg_.group, wire_ts, t.mid, t.dst});
       }
     } else if (t.ts > cs_) {
@@ -79,15 +80,13 @@ void FastCast::before_propose(Context& ctx, const std::vector<Tuple>& batch) {
 void FastCast::apply_tuple(Context& ctx, const Tuple& tuple) {
   switch (tuple.kind) {
     case TupleKind::kSetHard: {
-      auto it = sent_guess_.find(tuple.mid);
-      if (it != sent_guess_.end()) {
-        if (it->second != ch_ + 1) {
-          ++guess_mismatches_;
-          if (auto* o = ctx.obs()) {
-            o->metrics.counter("fastcast.guess_mismatches").inc();
-          }
+      // The first (and only applied) decision of this SET-HARD.
+      const std::optional<Ts> guess = buffer_.find(tuple.mid)->soft_guess;
+      if (guess.has_value() && *guess != ch_ + 1) {
+        ++guess_mismatches_;
+        if (auto* o = ctx.obs()) {
+          o->metrics.counter("fastcast.guess_mismatches").inc();
         }
-        sent_guess_.erase(it);
       }
       handle_set_hard(ctx, tuple);
       return;
@@ -103,13 +102,15 @@ void FastCast::apply_tuple(Context& ctx, const Tuple& tuple) {
       buffer_.note_dst(tuple.mid, tuple.dst);
       buffer_.add_entry(ctx, EntryKind::kSyncSoft, tuple.group, tuple.ts, tuple.mid);
       const TupleId hard_id{TupleKind::kSyncHard, tuple.group, tuple.mid};
-      if (const Tuple* hard = find_unordered(hard_id)) {
+      const TupleState* hard = find_tuple(hard_id);
+      if (hard != nullptr && !hard->ordered) {
         if (hard->ts == tuple.ts) {
-          try_task6(ctx, *hard);
+          try_task6(ctx, Tuple{TupleKind::kSyncHard, tuple.group, tuple.ts,
+                               tuple.mid, tuple.dst});
         } else {
           // Wrong guess: the deferred SYNC-HARD now needs the second
           // consensus round (the BaseCast slow path).
-          promote_deferred(ctx, hard_id);
+          queue(ctx, hard_id);
         }
       }
       return;
@@ -125,10 +126,10 @@ void FastCast::apply_tuple(Context& ctx, const Tuple& tuple) {
   }
 }
 
-void FastCast::try_task6(Context& ctx, Tuple hard_tuple) {
+void FastCast::try_task6(Context& ctx, const Tuple& hard_tuple) {
   FC_ASSERT(hard_tuple.kind == TupleKind::kSyncHard);
-  const TupleId id = id_of(hard_tuple);
-  if (is_ordered(id)) return;
+  const TupleState* known = find_tuple(id_of(hard_tuple));
+  if (known != nullptr && known->ordered) return;
   const auto soft = buffer_.sync_soft_ts(hard_tuple.mid, hard_tuple.group);
   if (!soft.has_value() || *soft != hard_tuple.ts) {
     FC_TRACE("node %u task6 miss: mid=%llu group=%u hard=%llu soft=%s", ctx.self(),
@@ -152,8 +153,8 @@ void FastCast::try_task6(Context& ctx, Tuple hard_tuple) {
     o->trace(hard_tuple.mid, obs::SpanEventKind::kTask6Match, ctx.self(),
              hard_tuple.group, ctx.now());
   }
-  mark_ordered_out_of_band(id);
-  buffer_.note_dst(hard_tuple.mid, hard_tuple.dst);
+  mark_ordered(*buffer_.find(hard_tuple.mid), TupleKind::kSyncHard,
+               hard_tuple.group);
   if (hard_tuple.group == cfg_.group) settle_own_hard(ctx, hard_tuple.mid);
   buffer_.add_entry(ctx, EntryKind::kSyncHard, hard_tuple.group, hard_tuple.ts,
                     hard_tuple.mid);

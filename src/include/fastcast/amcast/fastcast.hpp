@@ -1,8 +1,5 @@
 #pragma once
 
-#include <map>
-#include <set>
-
 #include "fastcast/amcast/timestamp_base.hpp"
 
 /// \file fastcast.hpp
@@ -54,18 +51,14 @@ class FastCast final : public TimestampProtocolBase {
 
  private:
   /// Task 6: orders (SYNC-HARD, h, x, m) out of band when the ordered
-  /// SYNC-SOFT for (h, m) carries the same x.
-  /// Takes the tuple by value: a match erases the protocol's own stored
-  /// copy (ToOrder bookkeeping) while the tuple is still being used.
-  void try_task6(Context& ctx, Tuple hard_tuple);
+  /// SYNC-SOFT for (h, m) carries the same x. The message's dst is known.
+  void try_task6(Context& ctx, const Tuple& hard_tuple);
 
   /// Deliberately-wrong guesses are offset far beyond any real clock value.
   static constexpr Ts kForcedSlowOffset = Ts{1} << 40;
 
   Options options_;
   Ts cs_ = 0;  ///< soft logical clock CS (leader only uses it)
-  std::set<MsgId> soft_sent_;
-  std::map<MsgId, Ts> sent_guess_;  ///< transmitted guess, for diagnostics
   std::uint64_t fast_hits_ = 0;
   std::uint64_t slow_hits_ = 0;
   std::uint64_t guess_mismatches_ = 0;

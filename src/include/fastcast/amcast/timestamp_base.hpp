@@ -3,7 +3,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "fastcast/amcast/atomic_multicast.hpp"
@@ -20,6 +19,14 @@
 /// ToOrder/Ordered bookkeeping, leader-driven batched proposals, SET-HARD
 /// handling, SYNC-HARD application and the delivery buffer — is identical
 /// and lives here.
+///
+/// The paper's ToOrder and Ordered only ever grow. Here they are kept per
+/// message, in the message's DeliveryBuffer record, and retire with its
+/// delivery. Events that arrive after the delivery are answered by the
+/// buffer's delivered rule: a late START, SEND-SOFT or SEND-HARD is
+/// dropped, a decided SET-HARD is skipped (its first decision precedes the
+/// delivery, so Ordered would have skipped it too), and a decided SYNC-SOFT
+/// or SYNC-HARD only applies Lamport's rule to CH, which is idempotent.
 ///
 /// Deviations from the pseudocode, standard for practical deployments and
 /// documented in DESIGN.md:
@@ -74,7 +81,9 @@ class TimestampProtocolBase : public AtomicMulticast {
                                    : settle_pending_.begin()->first;
   }
 
-  std::size_t unordered_count() const { return unordered_.size(); }
+  std::size_t unordered_count() const { return unordered_count_; }
+  /// Tuples queued for the next proposal (the leader's only).
+  std::size_t staged_count() const { return staged_.size(); }
   paxos::GroupConsensus& consensus() { return cons_; }
   /// Overload detector (tests / diagnostics).
   const flow::OverloadController& overload() const { return overload_; }
@@ -93,25 +102,25 @@ class TimestampProtocolBase : public AtomicMulticast {
     (void)batch;
   }
 
-  /// Adds a tuple to ToOrder unless already known; triggers a flush.
-  void stage(Context& ctx, Tuple tuple);
+  /// Adds a tuple to ToOrder unless its message already knows it or was
+  /// delivered, and queues it for proposal.
+  void stage(Context& ctx, const Tuple& tuple);
 
-  /// Tracks a tuple as known-but-unordered *without* queueing it for
-  /// proposal — FastCast defers SYNC-HARDs whose SYNC-SOFT is still in
-  /// flight, since a Task-6 match makes the second consensus unnecessary.
-  /// The repropose tick still covers deferred tuples (liveness backstop).
-  void track_deferred(Tuple tuple);
+  /// Adds a tuple to ToOrder *without* queueing it; false when its message
+  /// was delivered or already knows it. FastCast defers SYNC-HARDs whose
+  /// SYNC-SOFT is still in flight, since a Task-6 match makes the second
+  /// consensus unnecessary. The repropose tick still covers deferred
+  /// tuples (liveness backstop).
+  bool track(const Tuple& tuple);
 
-  /// Queues a previously deferred tuple for proposal (soft/hard mismatch).
-  void promote_deferred(Context& ctx, const TupleId& id);
-  bool known(const TupleId& id) const { return known_.contains(id); }
-  bool is_ordered(const TupleId& id) const { return ordered_.contains(id); }
+  /// Queues a known-but-unordered tuple for the leader's next proposal.
+  void queue(Context& ctx, const TupleId& id);
 
-  /// Marks a tuple ordered outside the decision stream (FastCast Task 6).
-  void mark_ordered_out_of_band(const TupleId& id);
+  /// The tuple's state in its message's record; null if unknown.
+  TupleState* find_tuple(const TupleId& id);
 
-  /// Looks up a known-but-unordered tuple (FastCast Task 6 match test).
-  const Tuple* find_unordered(const TupleId& id) const;
+  /// Moves a tuple of `rec` into Ordered; false if it already was there.
+  bool mark_ordered(DeliveryBuffer::Record& rec, TupleKind kind, GroupId group);
 
   /// Shared SET-HARD handling: advances CH, emits SEND-HARD + placeholder
   /// for global messages, forms the final entry for local ones.
@@ -133,24 +142,24 @@ class TimestampProtocolBase : public AtomicMulticast {
  private:
   void flush(Context& ctx);
   void on_decide(Context& ctx, InstanceId inst, const std::vector<std::byte>& value);
+  void apply_after_delivery(Context& ctx, const Tuple& tuple);
   void restage_all(Context& ctx);
   void arm_repropose(Context& ctx);
-  void settle_note_delivered(MsgId mid);
+  void retire(const DeliveryBuffer::Record& rec);
   void maybe_advise(Context& ctx, const MulticastMessage& msg);
 
-  std::set<TupleId> known_;            // ever staged (ToOrder ∪ Ordered)
-  std::set<TupleId> ordered_;          // Ordered
-  std::map<TupleId, Tuple> unordered_;  // ToOrder \ Ordered
-  std::vector<TupleId> staged_;        // to include in the next proposal
-  /// Decided-but-not-yet-settled own hard timestamps, for leader resend.
-  std::map<MsgId, std::pair<Ts, std::vector<GroupId>>> hard_pending_;
+  std::size_t unordered_count_ = 0;  ///< |ToOrder \ Ordered| over all records
+  std::vector<TupleId> staged_;      ///< leader: to include in the next proposal
+  /// Restored-delivered messages whose first SET-HARD the consensus replay
+  /// has not re-decided yet: that decision still advances CH. Filled only
+  /// by restore_durable, so it never grows.
+  std::set<MsgId> replay_delivered_;
   /// Settled tracking: an instance is settled once every message its
-  /// tuples touch is locally delivered (the delivered-set dedup then makes
-  /// every replayed side effect a no-op; CH advancement is covered by the
-  /// settled-clock record).
+  /// tuples touch is locally delivered (the delivered rule then makes every
+  /// replayed side effect a no-op; CH advancement is covered by the
+  /// settled-clock record). Each record lists the instances it pins.
   InstanceId settle_frontier_ = 0;  ///< next instance past contiguous decides
-  std::map<InstanceId, std::set<MsgId>> settle_pending_;
-  std::unordered_map<MsgId, std::vector<InstanceId>> settle_waiters_;
+  std::map<InstanceId, std::size_t> settle_pending_;  ///< undelivered pins
   bool repropose_armed_ = false;
   Context* decide_ctx_ = nullptr;  ///< bound at on_start
 

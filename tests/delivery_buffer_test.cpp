@@ -40,7 +40,8 @@ MulticastMessage msg(MsgId id, std::vector<GroupId> dst) {
 
 struct Fixture : testing::Test {
   void SetUp() override {
-    buffer.set_deliver([this](Context&, const MulticastMessage& m) {
+    buffer.set_deliver([this](Context&, const MulticastMessage& m,
+                              const DeliveryBuffer::Record&) {
       delivered.push_back(m.id);
     });
   }
@@ -102,9 +103,10 @@ TEST_F(DeliveryBufferTest, SyncSoftEntriesBlockToo) {
 TEST_F(DeliveryBufferTest, EqualTimestampsTieBreakByMsgId) {
   // Park both messages behind pending placeholders so neither can deliver
   // before the other is known, then resolve them: the (ts, mid) tie-break
-  // must deliver mid 3 before mid 7 on every replica.
-  buffer.store_body(ctx, msg(7, {0, 1}));
+  // must deliver mid 3 before mid 7 on every replica. (Bodies arrive in
+  // their sender's order, as rmcast's per-origin FIFO guarantees.)
   buffer.store_body(ctx, msg(3, {0, 1}));
+  buffer.store_body(ctx, msg(7, {0, 1}));
   buffer.add_entry(ctx, EntryKind::kPendingHard, 0, 5, 7);
   buffer.add_entry(ctx, EntryKind::kPendingHard, 0, 5, 3);
   buffer.remove_pending_hard(ctx, 7, 0);
@@ -199,7 +201,8 @@ TEST_F(DeliveryBufferTest, ManyMessagesDeliverInTimestampOrder) {
   for (std::size_t i = entries.size(); i > 1; --i) {
     std::swap(entries[i - 1], entries[rng.uniform(i)]);
   }
-  for (auto& [ts, mid] : entries) buffer.store_body(ctx, msg(mid, {0}));
+  // Bodies arrive in their sender's order (rmcast is FIFO per origin).
+  for (MsgId mid = 1; mid <= 50; ++mid) buffer.store_body(ctx, msg(mid, {0}));
   // Insert a pending placeholder for every message first so the guard has
   // to hold deliveries back, then resolve them in shuffled order.
   for (auto& [ts, mid] : entries) {
@@ -216,12 +219,13 @@ TEST_F(DeliveryBufferTest, ManyMessagesDeliverInTimestampOrder) {
 }
 
 TEST_F(DeliveryBufferTest, RestoredBodyDeliversViaConsensusReplay) {
-  // The durable-recovery shape: restore_durable re-installs delivered ids
-  // and persisted bodies first, THEN the consensus catch-up replays tuples
-  // through add_entry. The restored body (restore_body deliberately never
-  // attempts delivery itself) must satisfy the FINAL formed by the replay.
-  buffer.restore_delivered({7});
+  // The durable-recovery shape: restore_durable re-installs persisted
+  // bodies and then the delivered ids' START high-water, THEN the consensus
+  // catch-up replays tuples through add_entry. The restored body
+  // (restore_body deliberately never attempts delivery itself) must satisfy
+  // the FINAL formed by the replay.
   buffer.restore_body(msg(1, {0}));
+  buffer.restore_started(7);
   buffer.restore_body(msg(7, {0}));  // already delivered: must stay dropped
   EXPECT_TRUE(buffer.has_body(1));
   EXPECT_FALSE(buffer.has_body(7));
