@@ -17,10 +17,6 @@ constexpr std::size_t kMaxBatch = 128;
 /// re-requests it at this interval (backing off ×2 up to 8×).
 constexpr Duration kBodyPullInterval = milliseconds(25);
 
-/// Id mode: delivered bodies retained (FIFO) to serve peers' pull requests
-/// before being dropped.
-constexpr std::size_t kRetainBodies = 8192;
-
 bool addressed_to(const MulticastMessage& msg, GroupId g) {
   return std::find(msg.dst.begin(), msg.dst.end(), g) != msg.dst.end();
 }
@@ -383,8 +379,16 @@ void MultiPaxosAmcast::drain_pending(Context& ctx) {
 void MultiPaxosAmcast::retain_delivered(MsgId mid) {
   retained_.push_back(mid);
   while (retained_.size() > kRetainBodies) {
-    bodies_.erase(retained_.front());
+    const MsgId old = retained_.front();
+    bodies_.erase(old);
     retained_.pop_front();
+    // A delivered body left the durable state with its kDelivered record;
+    // a foreign one (orderer, other destinations) is dropped explicitly, or
+    // every snapshot would carry it forever. Advisory: no commit. Bodies
+    // evicted while restoring (no context yet) stay until the next restart.
+    if (ctx_ != nullptr && !delivered_.contains(old)) {
+      if (storage::NodeStorage* st = ctx_->storage()) st->log_drop_body(old);
+    }
   }
 }
 

@@ -66,6 +66,10 @@ class MultiPaxosAmcast final : public AtomicMulticast {
     flow::Options flow;
   };
 
+  /// Id mode: delivered and foreign bodies retained (FIFO) to serve peers'
+  /// pull requests before being dropped.
+  static constexpr std::size_t kRetainBodies = 8192;
+
   MultiPaxosAmcast(Config config, NodeId self);
 
   void on_start(Context& ctx) override;

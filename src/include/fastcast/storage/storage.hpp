@@ -106,6 +106,7 @@ class NodeStorage {
   Lsn log_settled(GroupId group, InstanceId frontier, std::uint64_t clock);
   Lsn log_prune_accepted(GroupId group, InstanceId floor);
   Lsn log_repair_install(GroupId group, InstanceId from, InstanceId through);
+  Lsn log_drop_body(MsgId mid);
 
   // --- durability gate ----------------------------------------------------
   /// Runs `fn` once every record up to `lsn` is committed — immediately if

@@ -50,6 +50,7 @@ enum class WalRecordType : std::uint8_t {
   kSettled = 9,        ///< `group`'s settled frontier reached `instance`; `seq` = protocol clock
   kPruneAccepted = 10, ///< `group`'s accepted entries below `instance` pruned
   kRepairInstall = 11, ///< repair installed `group`'s decided range [seq, instance)
+  kDropBody = 12,      ///< body of message `seq` no longer needed (never delivered here)
 };
 
 /// One typed WAL record. All fields are always encoded (unused ones at
@@ -76,6 +77,7 @@ struct WalRecord {
   static WalRecord settled(GroupId g, InstanceId frontier, std::uint64_t clock);
   static WalRecord prune_accepted(GroupId g, InstanceId floor);
   static WalRecord repair_install(GroupId g, InstanceId from, InstanceId through);
+  static WalRecord drop_body(MsgId mid);
 
   friend bool operator==(const WalRecord&, const WalRecord&) = default;
 };

@@ -65,6 +65,10 @@ void DurableState::apply(const WalRecord& rec) {
                        g.accepted.lower_bound(rec.instance));
       break;
     }
+    case WalRecordType::kDropBody:
+      // Unlike kDelivered, no in-doubt delivery: the message never was.
+      bodies.erase(rec.seq);
+      break;
     case WalRecordType::kRepairInstall:
       // Transfer-boundary marker: the installed entries and deliveries are
       // carried by their own kAccept/kDelivered/kSettled records, so the

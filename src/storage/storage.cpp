@@ -84,7 +84,13 @@ Lsn NodeStorage::append(const WalRecord& rec) {
   const Lsn lsn = wal_.append(rec);
   state_.apply(rec);
   ++records_since_snapshot_;
-  if (metrics_ != nullptr) metrics_->counter("storage.appends").inc();
+  if (metrics_ != nullptr) {
+    metrics_->counter("storage.appends").inc();
+    if (rec.type == WalRecordType::kBody) {
+      metrics_->gauge("storage.durable_bodies")
+          .record_max(static_cast<std::int64_t>(state_.bodies.size()));
+    }
+  }
   return lsn;
 }
 
@@ -134,6 +140,10 @@ Lsn NodeStorage::log_prune_accepted(GroupId group, InstanceId floor) {
 Lsn NodeStorage::log_repair_install(GroupId group, InstanceId from,
                                     InstanceId through) {
   return append(WalRecord::repair_install(group, from, through));
+}
+
+Lsn NodeStorage::log_drop_body(MsgId mid) {
+  return append(WalRecord::drop_body(mid));
 }
 
 void NodeStorage::when_durable(Lsn lsn, std::function<void()> fn) {

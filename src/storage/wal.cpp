@@ -145,6 +145,13 @@ WalRecord WalRecord::repair_install(GroupId g, InstanceId from, InstanceId throu
   return rec;
 }
 
+WalRecord WalRecord::drop_body(MsgId mid) {
+  WalRecord rec;
+  rec.type = WalRecordType::kDropBody;
+  rec.seq = mid;
+  return rec;
+}
+
 void encode_record(Writer& w, const WalRecord& rec) {
   w.u8(static_cast<std::uint8_t>(rec.type));
   w.u32(rec.group);
@@ -158,7 +165,7 @@ void encode_record(Writer& w, const WalRecord& rec) {
 
 bool decode_record(Reader& r, WalRecord& rec) {
   const std::uint8_t type = r.u8();
-  if (type < 1 || type > 11) return false;
+  if (type < 1 || type > 12) return false;
   rec.type = static_cast<WalRecordType>(type);
   rec.group = r.u32();
   rec.ballot.round = r.u32();

@@ -246,6 +246,27 @@ TEST(MultiPaxosIdOrdering, OrderersRetainOnlyBoundedBodies) {
   }
 }
 
+TEST(MultiPaxosIdOrdering, DurableOrdererForgetsBodiesLeavingRetention) {
+  // The orderer logs every body it stores but delivers none of them. Once
+  // a body leaves the retention ring its WAL copy must go too, or the
+  // durable state (and every snapshot) grows with the run.
+  auto cfg = mp_config(2, 16);
+  cfg.mp_ordering = ExperimentConfig::MpOrdering::kIds;
+  cfg.dst_factory = same_dst_for_all(random_subset(2, 1));
+  cfg.durability.durable = true;
+  Cluster cluster(cfg);
+  cluster.start();
+  cluster.stop_clients(milliseconds(1500));
+  cluster.simulator().run_until(milliseconds(2500));
+  ASSERT_GT(cluster.total_sent(), MultiPaxosAmcast::kRetainBodies + 2000);
+  ASSERT_EQ(cluster.total_in_flight(), 0u);
+  const Deployment& d = cluster.deployment();
+  for (NodeId n : d.membership.members(d.ordering_group)) {
+    const auto& bodies = cluster.storage()->node(n)->state().bodies;
+    EXPECT_LE(bodies.size(), MultiPaxosAmcast::kRetainBodies) << "node " << n;
+  }
+}
+
 TEST(MultiPaxosIdOrdering, DurableChaosCampaignStaysSafe) {
   // Real process deaths while bodies ride outside consensus: restarted
   // replicas must restore WAL-logged bodies, replay decided id batches,

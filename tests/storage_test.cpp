@@ -126,6 +126,7 @@ TEST(WalWireFormat, DecodeRoundTripsEveryType) {
       WalRecord::rm_progress(5, 8),
       WalRecord::delivered(make_msg_id(7, 42)),
       WalRecord::body(make_msg_id(7, 43), payload),
+      WalRecord::drop_body(make_msg_id(7, 43)),
   };
   for (const WalRecord& rec : records) {
     Writer w;
@@ -142,7 +143,7 @@ TEST(WalWireFormat, DecodeRejectsBadTypeAndTrailingBytes) {
   encode_record(w, WalRecord::promise(1, Ballot{1, 1}));
   {
     auto bad = w.data();
-    bad[0] = std::byte{0x0c};  // type out of range (valid: 1..11)
+    bad[0] = std::byte{0x0d};  // type out of range (valid: 1..12)
     Reader r(bad);
     WalRecord out;
     EXPECT_FALSE(decode_record(r, out));
@@ -521,6 +522,43 @@ TEST(NodeStorage, SnapshotPlusReplayEqualsFullReplay) {
   EXPECT_EQ(recovered, reference);  // snapshot + replay agrees
   EXPECT_LT(st.recovery_info().replay.replayed, records.size());
   EXPECT_GT(st.recovery_info().snapshot_lsn, 0u);
+}
+
+TEST(NodeStorage, DropBodySnapshotPlusReplayEqualsFullReplay) {
+  // Bodies come and go the two ways a live run retires them: kDelivered
+  // (this node delivered the message) and kDropBody (it never will, and
+  // the retention ring let the copy go). Both must fold identically
+  // whether recovery sees them in the log or inside a snapshot.
+  std::vector<WalRecord> records;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    records.push_back(WalRecord::body(make_msg_id(1, i), bytes_of({0x0B})));
+    if (i >= 3) records.push_back(WalRecord::drop_body(make_msg_id(1, i - 3)));
+    if (i % 10 == 0) records.push_back(WalRecord::delivered(make_msg_id(1, i)));
+  }
+  DurableState reference;
+  for (const WalRecord& rec : records) reference.apply(rec);
+  EXPECT_LE(reference.bodies.size(), 3u);  // only the last few survive
+
+  NodeStorage st(std::make_unique<MemBackend>(),
+                 config_with(FsyncPolicy::Mode::kAlways, /*snapshot_every=*/16));
+  for (const WalRecord& rec : records) {
+    switch (rec.type) {
+      case WalRecordType::kBody: st.log_body(rec.seq, rec.value); break;
+      case WalRecordType::kDropBody: st.log_drop_body(rec.seq); break;
+      case WalRecordType::kDelivered: st.log_delivered(rec.seq); break;
+      default: FAIL();
+    }
+    st.commit();
+  }
+  EXPECT_GT(st.snapshots_taken(), 0u);
+  EXPECT_EQ(st.state(), reference);
+  const DurableState& recovered = st.reset_and_recover();
+  EXPECT_EQ(recovered, reference);
+  EXPECT_GT(st.recovery_info().snapshot_lsn, 0u);
+  // Dropped bodies are not deliveries: nothing is re-externalized for them.
+  for (const auto& d : st.in_doubt_deliveries()) {
+    EXPECT_EQ(msg_id_seq(d.mid) % 10, 0u);
+  }
 }
 
 TEST(NodeStorage, NeverPolicySnapshotAheadOfLostLogStaysConsistent) {
