@@ -21,6 +21,10 @@ constexpr NodeId kInvalidNode = 0xffffffffu;
 constexpr GroupId kNoGroup = 0xffffffffu;  ///< group of client nodes
 
 /// Globally unique multicast-message id: (sender << 32) | per-sender counter.
+/// A sender numbers its messages in multicast order (a retry reuses the id).
+/// With rmcast's per-origin FIFO this lets a genuine replica tell delivered
+/// messages from unseen ones by a per-sender START high-water alone
+/// (DeliveryBuffer::was_delivered).
 using MsgId = std::uint64_t;
 
 constexpr MsgId make_msg_id(NodeId sender, std::uint32_t seq) {
