@@ -51,6 +51,7 @@ enum class WalRecordType : std::uint8_t {
   kPruneAccepted = 10, ///< `group`'s accepted entries below `instance` pruned
   kRepairInstall = 11, ///< repair installed `group`'s decided range [seq, instance)
   kDropBody = 12,      ///< body of message `seq` no longer needed (never delivered here)
+  kLast = kDropBody,   ///< the decoder's bound: keep it naming the last type
 };
 
 /// One typed WAL record. All fields are always encoded (unused ones at
