@@ -67,6 +67,14 @@ struct Ballot {
   }
 };
 
+/// Wire layout (common/codec.hpp), shared by messages, WAL records and
+/// snapshots.
+template <class Io>
+void layout(Io& io, Ballot& b) {
+  io.u32(b.round);
+  io.u32(b.node);
+}
+
 using InstanceId = std::uint64_t;
 
 }  // namespace fastcast

@@ -339,8 +339,9 @@ const char* message_kind(const Message& m);
 std::size_t approx_wire_bytes(const Message& m);
 
 // ---------------------------------------------------------------------------
-// Serialization. encode/decode round-trip every payload; decode returns
-// false on malformed input instead of throwing (transport input is
+// Serialization. Each type's fields are listed once, in a layout function in
+// message.cpp that both directions instantiate (common/codec.hpp). decode
+// returns false on malformed input instead of throwing (transport input is
 // untrusted with respect to framing bugs).
 // ---------------------------------------------------------------------------
 
@@ -350,37 +351,24 @@ bool decode(Reader& r, Message& out);
 std::vector<std::byte> encode_message(const Message& m);
 bool decode_message(std::span<const std::byte> bytes, Message& out);
 
-/// Encodes into `out` (cleared first), reusing its capacity. The reusable
-/// variants below produce byte-identical output to their allocating
-/// counterparts; hot paths pair them with a BufferPool so steady-state
+/// Encodes into `out` (cleared first), reusing its capacity, byte-identical
+/// to encode_message; hot paths pair it with a BufferPool so steady-state
 /// encoding allocates nothing.
 void encode_message_into(const Message& m, std::vector<std::byte>& out);
 
-// Exposed for unit tests of nested structures.
-void encode(Writer& w, const MulticastMessage& m);
-bool decode(Reader& r, MulticastMessage& out);
-void encode(Writer& w, const Tuple& t);
-bool decode(Reader& r, Tuple& out);
-
 /// Encodes a batch of tuples as an opaque consensus value (and back).
 std::vector<std::byte> encode_tuples(const std::vector<Tuple>& tuples);
-void encode_tuples_into(const std::vector<Tuple>& tuples,
-                        std::vector<std::byte>& out);
 bool decode_tuples(std::span<const std::byte> bytes, std::vector<Tuple>& out);
 
 /// Encodes a batch of MulticastMessages as an opaque consensus value for
 /// the non-genuine protocol (and back).
 std::vector<std::byte> encode_msg_batch(const std::vector<MulticastMessage>& msgs);
-void encode_msg_batch_into(const std::vector<MulticastMessage>& msgs,
-                           std::vector<std::byte>& out);
 bool decode_msg_batch(std::span<const std::byte> bytes,
                       std::vector<MulticastMessage>& out);
 
 /// Encodes a batch of id records as an opaque consensus value for the
 /// non-genuine protocol's id-ordering mode (and back).
 std::vector<std::byte> encode_id_batch(const std::vector<MpIdRecord>& records);
-void encode_id_batch_into(const std::vector<MpIdRecord>& records,
-                          std::vector<std::byte>& out);
 bool decode_id_batch(std::span<const std::byte> bytes,
                      std::vector<MpIdRecord>& out);
 

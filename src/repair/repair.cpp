@@ -21,33 +21,20 @@ void count(Context& ctx, const char* name, std::uint64_t n = 1) {
 
 }  // namespace
 
+template <class Io>
+void layout(Io& io, RepairEntry& e) {
+  io.varint(e.instance);
+  io.bytes(e.value);
+}
+
 void encode_repair_entries(const std::vector<RepairEntry>& entries,
                            std::vector<std::byte>& out) {
-  out.clear();
-  Writer w(std::move(out));
-  w.varint(entries.size());
-  for (const RepairEntry& e : entries) {
-    w.varint(e.instance);
-    w.bytes(e.value);
-  }
-  out = w.take();
+  out = encode_seq(entries);
 }
 
 bool decode_repair_entries(std::span<const std::byte> bytes,
                            std::vector<RepairEntry>& out) {
-  Reader r(bytes);
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > bytes.size()) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    RepairEntry e;
-    e.instance = r.varint();
-    e.value = r.bytes();
-    if (!r.ok()) return false;
-    out.push_back(std::move(e));
-  }
-  return r.at_end();
+  return decode_seq(bytes, out);
 }
 
 RepairCoordinator::RepairCoordinator(Config config, Hooks hooks)

@@ -1,5 +1,9 @@
 #include "fastcast/runtime/message.hpp"
 
+#include <array>
+#include <concepts>
+#include <type_traits>
+
 #include "fastcast/common/assert.hpp"
 
 namespace fastcast {
@@ -28,92 +32,235 @@ enum class WireTag : std::uint8_t {
   kBusy = 18,
 };
 
+/// Each Payload alternative's tag, in variant order.
+constexpr std::array<WireTag, std::variant_size_v<Payload>> kWireTags = {
+    WireTag::kRmData,         WireTag::kRmAck,
+    WireTag::kP1a,            WireTag::kP1b,
+    WireTag::kP2a,            WireTag::kP2b,
+    WireTag::kPaxosNack,      WireTag::kP2bRequest,
+    WireTag::kMpSubmit,       WireTag::kAmAck,
+    WireTag::kFdHeartbeat,    WireTag::kWatermarkAnnounce,
+    WireTag::kRepairRequest,  WireTag::kRepairSnapshot,
+    WireTag::kP2bMore,        WireTag::kMpBody,
+    WireTag::kMpBodyRequest,  WireTag::kBusy,
+};
+
 enum class AmTag : std::uint8_t { kStart = 1, kSendSoft = 2, kSendHard = 3 };
 
-void encode_groups(Writer& w, const std::vector<GroupId>& gs) {
-  w.varint(gs.size());
-  for (GroupId g : gs) w.varint(g);
+/// Each AmcastPayload alternative's tag, in variant order.
+constexpr std::array<AmTag, std::variant_size_v<AmcastPayload>> kAmTags = {
+    AmTag::kStart, AmTag::kSendSoft, AmTag::kSendHard};
+
+template <class Io>
+void groups(Io& io, std::vector<GroupId>& gs) {
+  io.seq(gs, [&io](GroupId& g) { io.varint(g); });
 }
 
-bool decode_groups(Reader& r, std::vector<GroupId>& out) {
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > r.remaining()) return false;  // each entry ≥ 1 byte
-  out.resize(n);
-  for (auto& g : out) g = static_cast<GroupId>(r.varint());
-  return r.ok();
-}
-
-void encode_ballot(Writer& w, const Ballot& b) {
-  w.u32(b.round);
-  w.u32(b.node);
-}
-
-bool decode_ballot(Reader& r, Ballot& b) {
-  b.round = r.u32();
-  b.node = r.u32();
-  return r.ok();
-}
-
-void encode_value(Writer& w, const std::vector<std::byte>& v) { w.bytes(v); }
-
-bool decode_value(Reader& r, std::vector<std::byte>& v) {
-  v = r.bytes();
-  return r.ok();
-}
-
-void encode_amcast(Writer& w, const AmcastPayload& p) {
-  if (const auto* s = std::get_if<AmStart>(&p)) {
-    w.u8(static_cast<std::uint8_t>(AmTag::kStart));
-    encode(w, s->msg);
-  } else if (const auto* ss = std::get_if<AmSendSoft>(&p)) {
-    w.u8(static_cast<std::uint8_t>(AmTag::kSendSoft));
-    w.varint(ss->from_group);
-    w.varint(ss->ts);
-    w.u64(ss->mid);
-    encode_groups(w, ss->dst);
-  } else {
-    const auto& sh = std::get<AmSendHard>(p);
-    w.u8(static_cast<std::uint8_t>(AmTag::kSendHard));
-    w.varint(sh.from_group);
-    w.varint(sh.ts);
-    w.u64(sh.mid);
-    encode_groups(w, sh.dst);
-  }
-}
-
-bool decode_amcast(Reader& r, AmcastPayload& out) {
-  const auto tag = static_cast<AmTag>(r.u8());
-  if (!r.ok()) return false;
-  switch (tag) {
-    case AmTag::kStart: {
-      AmStart s;
-      if (!decode(r, s.msg)) return false;
-      out = std::move(s);
-      return true;
-    }
-    case AmTag::kSendSoft: {
-      AmSendSoft s;
-      s.from_group = static_cast<GroupId>(r.varint());
-      s.ts = r.varint();
-      s.mid = r.u64();
-      if (!decode_groups(r, s.dst)) return false;
-      out = std::move(s);
-      return r.ok();
-    }
-    case AmTag::kSendHard: {
-      AmSendHard s;
-      s.from_group = static_cast<GroupId>(r.varint());
-      s.ts = r.varint();
-      s.mid = r.u64();
-      if (!decode_groups(r, s.dst)) return false;
-      out = std::move(s);
-      return r.ok();
-    }
-  }
-  return false;
+/// The frames that end with one client message (MpSubmit, MpBody, an
+/// RmData carrying AmStart) append its deadline/sent_at stamps. Only there:
+/// the batch values carry no stamps, so they stay byte-stable.
+template <class Io>
+void stamps(Io& io, MulticastMessage& m) {
+  io.optional_pair(m.deadline, m.sent_at);
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Layouts: every type's fields in wire order (see common/codec.hpp). They
+// live in namespace fastcast, not the anonymous one, so the codec's
+// sequence and variant helpers find them by argument-dependent lookup.
+// ---------------------------------------------------------------------------
+
+template <class Io>
+void layout(Io& io, MulticastMessage& m) {
+  io.u64(m.id);
+  io.u32(m.sender);
+  groups(io, m.dst);
+  io.str(m.payload);
+}
+
+template <class Io>
+void layout(Io& io, Tuple& t) {
+  io.enum8(t.kind, TupleKind::kSetHard, TupleKind::kSyncHard);
+  io.varint(t.group);
+  io.varint(t.ts);
+  io.u64(t.mid);
+  groups(io, t.dst);
+}
+
+template <class Io>
+void layout(Io& io, MpIdRecord& rec) {
+  io.u64(rec.mid);
+  io.u32(rec.sender);
+  groups(io, rec.dst);
+}
+
+template <class Io>
+void layout(Io& io, AmStart& s) {
+  layout(io, s.msg);
+}
+
+template <class Io, class S>
+  requires std::same_as<S, AmSendSoft> || std::same_as<S, AmSendHard>
+void layout(Io& io, S& s) {
+  io.varint(s.from_group);
+  io.varint(s.ts);
+  io.u64(s.mid);
+  groups(io, s.dst);
+}
+
+template <class Io>
+void layout(Io& io, RmData& d) {
+  io.u32(d.origin);
+  io.u64(d.seq);
+  groups(io, d.dst_groups);
+  // dest_nodes and dest_seqs are parallel: one count, then the pairs.
+  FC_ASSERT(d.dest_nodes.size() == d.dest_seqs.size());
+  const std::size_t n = io.count(d.dest_nodes.size());
+  if constexpr (std::is_same_v<Io, Reader>) {
+    d.dest_nodes.resize(n);
+    d.dest_seqs.resize(n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    io.u32(d.dest_nodes[i]);
+    io.varint(d.dest_seqs[i]);
+  }
+  io.tagged(d.inner, kAmTags);
+  if (auto* s = std::get_if<AmStart>(&d.inner)) stamps(io, s->msg);
+}
+
+template <class Io>
+void layout(Io& io, RmAck& a) {
+  io.u32(a.origin);
+  io.u64(a.seq);
+}
+
+template <class Io>
+void layout(Io& io, P1a& p) {
+  io.varint(p.group);
+  layout(io, p.ballot);
+  io.u64(p.from_instance);
+}
+
+template <class Io>
+void layout(Io& io, P1b::AcceptedEntry& e) {
+  io.u64(e.instance);
+  layout(io, e.vballot);
+  io.bytes(e.value);
+}
+
+template <class Io>
+void layout(Io& io, P1b& p) {
+  io.varint(p.group);
+  layout(io, p.ballot);
+  io.u64(p.from_instance);
+  io.seq(p.accepted);
+}
+
+template <class Io>
+void layout(Io& io, P2a& p) {
+  io.varint(p.group);
+  layout(io, p.ballot);
+  io.u64(p.instance);
+  io.bytes(p.value);
+}
+
+template <class Io>
+void layout(Io& io, P2b& p) {
+  io.varint(p.group);
+  layout(io, p.ballot);
+  io.u64(p.instance);
+  io.u32(p.acceptor);
+  io.bytes(p.value);
+}
+
+template <class Io>
+void layout(Io& io, PaxosNack& p) {
+  io.varint(p.group);
+  layout(io, p.promised);
+  io.u64(p.instance);
+}
+
+template <class Io>
+void layout(Io& io, P2bRequest& p) {
+  io.varint(p.group);
+  io.u64(p.from_instance);
+}
+
+template <class Io>
+void layout(Io& io, MpSubmit& s) {
+  layout(io, s.msg);
+  stamps(io, s.msg);
+}
+
+template <class Io>
+void layout(Io& io, AmAck& a) {
+  io.u64(a.mid);
+  io.varint(a.from_group);
+  io.u32(a.deliverer);
+}
+
+template <class Io>
+void layout(Io& io, FdHeartbeat& h) {
+  io.varint(h.group);
+  io.u32(h.from);
+  io.u64(h.epoch);
+}
+
+template <class Io>
+void layout(Io& io, WatermarkAnnounce& a) {
+  io.varint(a.group);
+  io.u32(a.from);
+  io.u64(a.settled);
+  io.u64(a.frontier);
+}
+
+template <class Io>
+void layout(Io& io, RepairRequest& q) {
+  io.varint(q.group);
+  io.u64(q.from_instance);
+}
+
+template <class Io>
+void layout(Io& io, RepairSnapshot& s) {
+  io.varint(s.group);
+  io.u64(s.from_instance);
+  io.u64(s.watermark);
+  io.enum8(s.last, false, true);
+  io.u32(s.payload_crc);
+  io.bytes(s.payload);
+}
+
+template <class Io>
+void layout(Io& io, P2bMore& m) {
+  io.varint(m.group);
+  io.u64(m.next_instance);
+}
+
+template <class Io>
+void layout(Io& io, MpBody& b) {
+  layout(io, b.msg);
+  stamps(io, b.msg);
+}
+
+template <class Io>
+void layout(Io& io, MpBodyRequest& q) {
+  io.u64(q.mid);
+}
+
+template <class Io>
+void layout(Io& io, Busy& b) {
+  io.u64(b.mid);
+  io.enum8(b.reason, Busy::Reason::kOverload, Busy::Reason::kExpired);
+  io.enum8(b.advisory, false, true);
+  io.varint(b.retry_after);
+}
+
+template <class Io>
+void layout(Io& io, Message& m) {
+  io.tagged(m.payload, kWireTags);
+}
 
 const char* to_string(TupleKind k) {
   switch (k) {
@@ -190,474 +337,11 @@ std::size_t approx_wire_bytes(const Message& m) {
   return kBase + std::visit(WireBytesVisitor{}, m.payload);
 }
 
-void encode(Writer& w, const MulticastMessage& m) {
-  w.u64(m.id);
-  w.u32(m.sender);
-  encode_groups(w, m.dst);
-  w.str(m.payload);
-}
-
-bool decode(Reader& r, MulticastMessage& out) {
-  out.id = r.u64();
-  out.sender = r.u32();
-  if (!decode_groups(r, out.dst)) return false;
-  out.payload = r.str();
-  return r.ok();
-}
-
-void encode(Writer& w, const Tuple& t) {
-  w.u8(static_cast<std::uint8_t>(t.kind));
-  w.varint(t.group);
-  w.varint(t.ts);
-  w.u64(t.mid);
-  encode_groups(w, t.dst);
-}
-
-bool decode(Reader& r, Tuple& out) {
-  const std::uint8_t k = r.u8();
-  if (!r.ok() || k > static_cast<std::uint8_t>(TupleKind::kSyncHard)) return false;
-  out.kind = static_cast<TupleKind>(k);
-  out.group = static_cast<GroupId>(r.varint());
-  out.ts = r.varint();
-  out.mid = r.u64();
-  if (!decode_groups(r, out.dst)) return false;
-  return r.ok();
-}
-
-std::vector<std::byte> encode_tuples(const std::vector<Tuple>& tuples) {
-  std::vector<std::byte> out;
-  encode_tuples_into(tuples, out);
-  return out;
-}
-
-void encode_tuples_into(const std::vector<Tuple>& tuples,
-                        std::vector<std::byte>& out) {
-  out.clear();
-  Writer w(std::move(out));
-  w.varint(tuples.size());
-  for (const Tuple& t : tuples) encode(w, t);
-  out = w.take();
-}
-
-bool decode_tuples(std::span<const std::byte> bytes, std::vector<Tuple>& out) {
-  Reader r(bytes);
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > bytes.size()) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Tuple t;
-    if (!decode(r, t)) return false;
-    out.push_back(std::move(t));
-  }
-  return r.at_end();
-}
-
-std::vector<std::byte> encode_msg_batch(const std::vector<MulticastMessage>& msgs) {
-  std::vector<std::byte> out;
-  encode_msg_batch_into(msgs, out);
-  return out;
-}
-
-void encode_msg_batch_into(const std::vector<MulticastMessage>& msgs,
-                           std::vector<std::byte>& out) {
-  out.clear();
-  Writer w(std::move(out));
-  w.varint(msgs.size());
-  for (const auto& m : msgs) encode(w, m);
-  out = w.take();
-}
-
-bool decode_msg_batch(std::span<const std::byte> bytes,
-                      std::vector<MulticastMessage>& out) {
-  Reader r(bytes);
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > bytes.size()) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    MulticastMessage m;
-    if (!decode(r, m)) return false;
-    out.push_back(std::move(m));
-  }
-  return r.at_end();
-}
-
-namespace {
-
-void encode_id_record(Writer& w, const MpIdRecord& rec) {
-  w.u64(rec.mid);
-  w.u32(rec.sender);
-  encode_groups(w, rec.dst);
-}
-
-bool decode_id_record(Reader& r, MpIdRecord& out) {
-  out.mid = r.u64();
-  out.sender = r.u32();
-  if (!decode_groups(r, out.dst)) return false;
-  return r.ok();
-}
-
-}  // namespace
-
-std::vector<std::byte> encode_id_batch(const std::vector<MpIdRecord>& records) {
-  std::vector<std::byte> out;
-  encode_id_batch_into(records, out);
-  return out;
-}
-
-void encode_id_batch_into(const std::vector<MpIdRecord>& records,
-                          std::vector<std::byte>& out) {
-  out.clear();
-  Writer w(std::move(out));
-  w.varint(records.size());
-  for (const MpIdRecord& rec : records) encode_id_record(w, rec);
-  out = w.take();
-}
-
-bool decode_id_batch(std::span<const std::byte> bytes,
-                     std::vector<MpIdRecord>& out) {
-  Reader r(bytes);
-  const std::uint64_t n = r.varint();
-  if (!r.ok() || n > bytes.size()) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    MpIdRecord rec;
-    if (!decode_id_record(r, rec)) return false;
-    out.push_back(std::move(rec));
-  }
-  return r.at_end();
-}
-
-void encode(Writer& w, const Message& m) {
-  struct Visitor {
-    Writer& w;
-
-    void operator()(const RmData& d) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kRmData));
-      w.u32(d.origin);
-      w.u64(d.seq);
-      encode_groups(w, d.dst_groups);
-      w.varint(d.dest_nodes.size());
-      FC_ASSERT(d.dest_nodes.size() == d.dest_seqs.size());
-      for (std::size_t i = 0; i < d.dest_nodes.size(); ++i) {
-        w.u32(d.dest_nodes[i]);
-        w.varint(d.dest_seqs[i]);
-      }
-      encode_amcast(w, d.inner);
-      // Optional trailing deadline + sent_at: only meaningful for START
-      // envelopes, and only emitted when set, so pre-deadline golden bytes
-      // still hold. The pair is written together to keep positions fixed.
-      if (const auto* s = std::get_if<AmStart>(&d.inner);
-          s != nullptr && (s->msg.deadline > 0 || s->msg.sent_at > 0)) {
-        w.varint(static_cast<std::uint64_t>(s->msg.deadline));
-        w.varint(static_cast<std::uint64_t>(s->msg.sent_at));
-      }
-    }
-    void operator()(const RmAck& a) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kRmAck));
-      w.u32(a.origin);
-      w.u64(a.seq);
-    }
-    void operator()(const P1a& p) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kP1a));
-      w.varint(p.group);
-      encode_ballot(w, p.ballot);
-      w.u64(p.from_instance);
-    }
-    void operator()(const P1b& p) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kP1b));
-      w.varint(p.group);
-      encode_ballot(w, p.ballot);
-      w.u64(p.from_instance);
-      w.varint(p.accepted.size());
-      for (const auto& e : p.accepted) {
-        w.u64(e.instance);
-        encode_ballot(w, e.vballot);
-        encode_value(w, e.value);
-      }
-    }
-    void operator()(const P2a& p) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kP2a));
-      w.varint(p.group);
-      encode_ballot(w, p.ballot);
-      w.u64(p.instance);
-      encode_value(w, p.value);
-    }
-    void operator()(const P2b& p) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kP2b));
-      w.varint(p.group);
-      encode_ballot(w, p.ballot);
-      w.u64(p.instance);
-      w.u32(p.acceptor);
-      encode_value(w, p.value);
-    }
-    void operator()(const PaxosNack& p) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kPaxosNack));
-      w.varint(p.group);
-      encode_ballot(w, p.promised);
-      w.u64(p.instance);
-    }
-    void operator()(const P2bRequest& p) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kP2bRequest));
-      w.varint(p.group);
-      w.u64(p.from_instance);
-    }
-    void operator()(const MpSubmit& s) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kMpSubmit));
-      encode(w, s.msg);
-      if (s.msg.deadline > 0 || s.msg.sent_at > 0) {
-        w.varint(static_cast<std::uint64_t>(s.msg.deadline));
-        w.varint(static_cast<std::uint64_t>(s.msg.sent_at));
-      }
-    }
-    void operator()(const AmAck& a) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kAmAck));
-      w.u64(a.mid);
-      w.varint(a.from_group);
-      w.u32(a.deliverer);
-    }
-    void operator()(const FdHeartbeat& h) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kFdHeartbeat));
-      w.varint(h.group);
-      w.u32(h.from);
-      w.u64(h.epoch);
-    }
-    void operator()(const WatermarkAnnounce& a) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kWatermarkAnnounce));
-      w.varint(a.group);
-      w.u32(a.from);
-      w.u64(a.settled);
-      w.u64(a.frontier);
-    }
-    void operator()(const RepairRequest& q) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kRepairRequest));
-      w.varint(q.group);
-      w.u64(q.from_instance);
-    }
-    void operator()(const RepairSnapshot& s) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kRepairSnapshot));
-      w.varint(s.group);
-      w.u64(s.from_instance);
-      w.u64(s.watermark);
-      w.u8(s.last ? 1 : 0);
-      w.u32(s.payload_crc);
-      encode_value(w, s.payload);
-    }
-    void operator()(const P2bMore& m2) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kP2bMore));
-      w.varint(m2.group);
-      w.u64(m2.next_instance);
-    }
-    void operator()(const MpBody& b) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kMpBody));
-      encode(w, b.msg);
-      if (b.msg.deadline > 0 || b.msg.sent_at > 0) {
-        w.varint(static_cast<std::uint64_t>(b.msg.deadline));
-        w.varint(static_cast<std::uint64_t>(b.msg.sent_at));
-      }
-    }
-    void operator()(const MpBodyRequest& q) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kMpBodyRequest));
-      w.u64(q.mid);
-    }
-    void operator()(const Busy& b) const {
-      w.u8(static_cast<std::uint8_t>(WireTag::kBusy));
-      w.u64(b.mid);
-      w.u8(static_cast<std::uint8_t>(b.reason));
-      w.u8(b.advisory ? 1 : 0);
-      w.varint(static_cast<std::uint64_t>(b.retry_after));
-    }
-  };
-  std::visit(Visitor{w}, m.payload);
-}
+void encode(Writer& w, const Message& m) { encode_layout(w, m); }
 
 bool decode(Reader& r, Message& out) {
-  const auto tag = static_cast<WireTag>(r.u8());
-  if (!r.ok()) return false;
-  switch (tag) {
-    case WireTag::kRmData: {
-      RmData d;
-      d.origin = r.u32();
-      d.seq = r.u64();
-      if (!decode_groups(r, d.dst_groups)) return false;
-      const std::uint64_t n = r.varint();
-      if (!r.ok() || n > r.remaining()) return false;
-      d.dest_nodes.resize(n);
-      d.dest_seqs.resize(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        d.dest_nodes[i] = r.u32();
-        d.dest_seqs[i] = r.varint();
-      }
-      if (!decode_amcast(r, d.inner)) return false;
-      if (auto* s = std::get_if<AmStart>(&d.inner);
-          s != nullptr && r.remaining() > 0) {
-        s->msg.deadline = static_cast<Time>(r.varint());
-        if (r.remaining() > 0) s->msg.sent_at = static_cast<Time>(r.varint());
-      }
-      out.payload = std::move(d);
-      return r.ok();
-    }
-    case WireTag::kRmAck: {
-      RmAck a;
-      a.origin = r.u32();
-      a.seq = r.u64();
-      out.payload = a;
-      return r.ok();
-    }
-    case WireTag::kP1a: {
-      P1a p;
-      p.group = static_cast<GroupId>(r.varint());
-      if (!decode_ballot(r, p.ballot)) return false;
-      p.from_instance = r.u64();
-      out.payload = p;
-      return r.ok();
-    }
-    case WireTag::kP1b: {
-      P1b p;
-      p.group = static_cast<GroupId>(r.varint());
-      if (!decode_ballot(r, p.ballot)) return false;
-      p.from_instance = r.u64();
-      const std::uint64_t n = r.varint();
-      if (!r.ok() || n > r.remaining()) return false;
-      p.accepted.resize(n);
-      for (auto& e : p.accepted) {
-        e.instance = r.u64();
-        if (!decode_ballot(r, e.vballot)) return false;
-        if (!decode_value(r, e.value)) return false;
-      }
-      out.payload = std::move(p);
-      return r.ok();
-    }
-    case WireTag::kP2a: {
-      P2a p;
-      p.group = static_cast<GroupId>(r.varint());
-      if (!decode_ballot(r, p.ballot)) return false;
-      p.instance = r.u64();
-      if (!decode_value(r, p.value)) return false;
-      out.payload = std::move(p);
-      return r.ok();
-    }
-    case WireTag::kP2b: {
-      P2b p;
-      p.group = static_cast<GroupId>(r.varint());
-      if (!decode_ballot(r, p.ballot)) return false;
-      p.instance = r.u64();
-      p.acceptor = r.u32();
-      if (!decode_value(r, p.value)) return false;
-      out.payload = std::move(p);
-      return r.ok();
-    }
-    case WireTag::kPaxosNack: {
-      PaxosNack p;
-      p.group = static_cast<GroupId>(r.varint());
-      if (!decode_ballot(r, p.promised)) return false;
-      p.instance = r.u64();
-      out.payload = p;
-      return r.ok();
-    }
-    case WireTag::kP2bRequest: {
-      P2bRequest p;
-      p.group = static_cast<GroupId>(r.varint());
-      p.from_instance = r.u64();
-      out.payload = p;
-      return r.ok();
-    }
-    case WireTag::kMpSubmit: {
-      MpSubmit s;
-      if (!decode(r, s.msg)) return false;
-      if (r.remaining() > 0) {
-        s.msg.deadline = static_cast<Time>(r.varint());
-        if (r.remaining() > 0) s.msg.sent_at = static_cast<Time>(r.varint());
-      }
-      out.payload = std::move(s);
-      return r.ok();
-    }
-    case WireTag::kAmAck: {
-      AmAck a;
-      a.mid = r.u64();
-      a.from_group = static_cast<GroupId>(r.varint());
-      a.deliverer = r.u32();
-      out.payload = a;
-      return r.ok();
-    }
-    case WireTag::kFdHeartbeat: {
-      FdHeartbeat h;
-      h.group = static_cast<GroupId>(r.varint());
-      h.from = r.u32();
-      h.epoch = r.u64();
-      out.payload = h;
-      return r.ok();
-    }
-    case WireTag::kWatermarkAnnounce: {
-      WatermarkAnnounce a;
-      a.group = static_cast<GroupId>(r.varint());
-      a.from = r.u32();
-      a.settled = r.u64();
-      a.frontier = r.u64();
-      out.payload = a;
-      return r.ok();
-    }
-    case WireTag::kRepairRequest: {
-      RepairRequest q;
-      q.group = static_cast<GroupId>(r.varint());
-      q.from_instance = r.u64();
-      out.payload = q;
-      return r.ok();
-    }
-    case WireTag::kRepairSnapshot: {
-      RepairSnapshot s;
-      s.group = static_cast<GroupId>(r.varint());
-      s.from_instance = r.u64();
-      s.watermark = r.u64();
-      const std::uint8_t last = r.u8();
-      if (!r.ok() || last > 1) return false;
-      s.last = last != 0;
-      s.payload_crc = r.u32();
-      if (!decode_value(r, s.payload)) return false;
-      out.payload = std::move(s);
-      return r.ok();
-    }
-    case WireTag::kP2bMore: {
-      P2bMore m2;
-      m2.group = static_cast<GroupId>(r.varint());
-      m2.next_instance = r.u64();
-      out.payload = m2;
-      return r.ok();
-    }
-    case WireTag::kMpBody: {
-      MpBody b;
-      if (!decode(r, b.msg)) return false;
-      if (r.remaining() > 0) {
-        b.msg.deadline = static_cast<Time>(r.varint());
-        if (r.remaining() > 0) b.msg.sent_at = static_cast<Time>(r.varint());
-      }
-      out.payload = std::move(b);
-      return r.ok();
-    }
-    case WireTag::kMpBodyRequest: {
-      MpBodyRequest q;
-      q.mid = r.u64();
-      out.payload = q;
-      return r.ok();
-    }
-    case WireTag::kBusy: {
-      Busy b;
-      b.mid = r.u64();
-      const std::uint8_t reason = r.u8();
-      if (!r.ok() || reason > static_cast<std::uint8_t>(Busy::Reason::kExpired))
-        return false;
-      b.reason = static_cast<Busy::Reason>(reason);
-      const std::uint8_t advisory = r.u8();
-      if (!r.ok() || advisory > 1) return false;
-      b.advisory = advisory != 0;
-      b.retry_after = static_cast<Duration>(r.varint());
-      out.payload = b;
-      return r.ok();
-    }
-  }
-  return false;
+  layout(r, out);
+  return r.ok();
 }
 
 std::vector<std::byte> encode_message(const Message& m) {
@@ -676,8 +360,33 @@ void encode_message_into(const Message& m, std::vector<std::byte>& out) {
 
 bool decode_message(std::span<const std::byte> bytes, Message& out) {
   Reader r(bytes);
-  if (!decode(r, out)) return false;
-  return r.at_end();
+  return decode_layout(r, out);
+}
+
+std::vector<std::byte> encode_tuples(const std::vector<Tuple>& tuples) {
+  return encode_seq(tuples);
+}
+
+bool decode_tuples(std::span<const std::byte> bytes, std::vector<Tuple>& out) {
+  return decode_seq(bytes, out);
+}
+
+std::vector<std::byte> encode_msg_batch(const std::vector<MulticastMessage>& msgs) {
+  return encode_seq(msgs);
+}
+
+bool decode_msg_batch(std::span<const std::byte> bytes,
+                      std::vector<MulticastMessage>& out) {
+  return decode_seq(bytes, out);
+}
+
+std::vector<std::byte> encode_id_batch(const std::vector<MpIdRecord>& records) {
+  return encode_seq(records);
+}
+
+bool decode_id_batch(std::span<const std::byte> bytes,
+                     std::vector<MpIdRecord>& out) {
+  return decode_seq(bytes, out);
 }
 
 }  // namespace fastcast

@@ -83,98 +83,60 @@ namespace {
 /// are rejected instead of misdecoded.
 constexpr std::uint8_t kSnapshotVersion = 2;
 
+/// A map entry of a node id and a varint sequence number.
+template <class Io, class E>
+void node_seq(Io& io, E& e) {
+  io.u32(e.first);
+  io.varint(e.second);
+}
+
 }  // namespace
 
+template <class Io>
+void layout(Io& io, DurableState::Accepted& acc) {
+  layout(io, acc.ballot);
+  io.bytes(acc.value);
+}
+
+template <class Io>
+void layout(Io& io, DurableState::GroupState& g) {
+  layout(io, g.promised);
+  io.varint(g.settled);
+  io.varint(g.settled_clock);
+  io.varint(g.pruned_below);
+  io.seq(g.accepted, [&io](auto& e) {
+    io.varint(e.first);
+    layout(io, e.second);
+  });
+}
+
+template <class Io>
+void layout(Io& io, DurableState& state) {
+  std::uint8_t version = kSnapshotVersion;
+  io.enum8(version, kSnapshotVersion, kSnapshotVersion);
+  io.seq(state.groups, [&io](auto& e) {
+    io.u32(e.first);
+    layout(io, e.second);
+  });
+  io.seq(state.rm_next_seq, [&io](auto& e) { node_seq(io, e); });
+  io.seq(state.rm_staged, [&io](auto& e) {
+    node_seq(io, e.first);
+    io.bytes(e.second);
+  });
+  io.seq(state.rm_next_expected, [&io](auto& e) { node_seq(io, e); });
+  io.seq(state.delivered, [&io](auto& mid) { io.varint(mid); });
+  io.seq(state.bodies, [&io](auto& e) {
+    io.varint(e.first);
+    io.bytes(e.second);
+  });
+}
+
 void encode_state(Writer& w, const DurableState& state) {
-  w.u8(kSnapshotVersion);
-  w.varint(state.groups.size());
-  for (const auto& [gid, g] : state.groups) {
-    w.u32(gid);
-    w.u32(g.promised.round);
-    w.u32(g.promised.node);
-    w.varint(g.settled);
-    w.varint(g.settled_clock);
-    w.varint(g.pruned_below);
-    w.varint(g.accepted.size());
-    for (const auto& [inst, acc] : g.accepted) {
-      w.varint(inst);
-      w.u32(acc.ballot.round);
-      w.u32(acc.ballot.node);
-      w.bytes(acc.value);
-    }
-  }
-  w.varint(state.rm_next_seq.size());
-  for (const auto& [node, seq] : state.rm_next_seq) {
-    w.u32(node);
-    w.varint(seq);
-  }
-  w.varint(state.rm_staged.size());
-  for (const auto& [key, frame] : state.rm_staged) {
-    w.u32(key.first);
-    w.varint(key.second);
-    w.bytes(frame);
-  }
-  w.varint(state.rm_next_expected.size());
-  for (const auto& [node, seq] : state.rm_next_expected) {
-    w.u32(node);
-    w.varint(seq);
-  }
-  w.varint(state.delivered.size());
-  for (const MsgId mid : state.delivered) w.varint(mid);
-  w.varint(state.bodies.size());
-  for (const auto& [mid, body] : state.bodies) {
-    w.varint(mid);
-    w.bytes(body);
-  }
+  encode_layout(w, state);
 }
 
 bool decode_state(Reader& r, DurableState& state) {
-  state = DurableState{};
-  if (r.u8() != kSnapshotVersion) return false;
-  const std::uint64_t n_groups = r.varint();
-  for (std::uint64_t i = 0; r.ok() && i < n_groups; ++i) {
-    const GroupId gid = r.u32();
-    auto& g = state.groups[gid];
-    g.promised.round = r.u32();
-    g.promised.node = r.u32();
-    g.settled = r.varint();
-    g.settled_clock = r.varint();
-    g.pruned_below = r.varint();
-    const std::uint64_t n_acc = r.varint();
-    for (std::uint64_t j = 0; r.ok() && j < n_acc; ++j) {
-      const InstanceId inst = r.varint();
-      auto& acc = g.accepted[inst];
-      acc.ballot.round = r.u32();
-      acc.ballot.node = r.u32();
-      acc.value = r.bytes();
-    }
-  }
-  const std::uint64_t n_next = r.varint();
-  for (std::uint64_t i = 0; r.ok() && i < n_next; ++i) {
-    const NodeId node = r.u32();
-    state.rm_next_seq[node] = r.varint();
-  }
-  const std::uint64_t n_staged = r.varint();
-  for (std::uint64_t i = 0; r.ok() && i < n_staged; ++i) {
-    const NodeId node = r.u32();
-    const std::uint64_t seq = r.varint();
-    state.rm_staged[{node, seq}] = r.bytes();
-  }
-  const std::uint64_t n_exp = r.varint();
-  for (std::uint64_t i = 0; r.ok() && i < n_exp; ++i) {
-    const NodeId node = r.u32();
-    state.rm_next_expected[node] = r.varint();
-  }
-  const std::uint64_t n_del = r.varint();
-  for (std::uint64_t i = 0; r.ok() && i < n_del; ++i) {
-    state.delivered.insert(r.varint());
-  }
-  const std::uint64_t n_bodies = r.varint();
-  for (std::uint64_t i = 0; r.ok() && i < n_bodies; ++i) {
-    const MsgId mid = r.varint();
-    state.bodies[mid] = r.bytes();
-  }
-  return r.ok() && r.at_end();
+  return decode_layout(r, state);
 }
 
 // ---------------------------------------------------------------------------
