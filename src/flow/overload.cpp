@@ -2,27 +2,25 @@
 
 namespace fastcast::flow {
 
-void OverloadController::note(const Options& opt, double& ewma, Time& last,
-                              Duration sample) {
+void OverloadController::note(double& ewma, Time& last, Duration sample) {
   if (sample < 0) sample = 0;
   if (last < 0) {
     ewma = static_cast<double>(sample);
   } else {
-    ewma = opt.ewma_alpha * static_cast<double>(sample) +
-           (1.0 - opt.ewma_alpha) * ewma;
+    ewma = kEwmaAlpha * static_cast<double>(sample) + (1.0 - kEwmaAlpha) * ewma;
   }
 }
 
 void OverloadController::note_sojourn(Time now, Duration sojourn) {
   if (!opt_.enable) return;
-  note(opt_, ewma_ns_, last_sojourn_, sojourn);
+  note(ewma_ns_, last_sojourn_, sojourn);
   last_sojourn_ = now;
   update(now);
 }
 
 void OverloadController::note_arrival_lag(Time now, Duration lag) {
   if (!opt_.enable) return;
-  note(opt_, arrival_ewma_, last_arrival_, lag);
+  note(arrival_ewma_, last_arrival_, lag);
   last_arrival_ = now;
   update(now);
 }

@@ -72,16 +72,14 @@ Cluster::Cluster(const ExperimentConfig& config)
         config_.warmup / 2 * static_cast<Duration>(i) /
         static_cast<Duration>(n_clients == 0 ? 1 : n_clients));
     auto client = std::make_shared<ClientProcess>(std::move(cc), metrics_);
-    if (config_.run_checker) {
-      Checker* checker = &checker_;
-      client->add_multicast_observer([checker](const MulticastMessage& msg) {
-        checker->note_multicast(msg);
-      });
-      // Explicitly failed requests (Busy rejection / expiry / timeout) are
-      // exempt from quiesced validity: "delivered or explicitly rejected".
-      client->add_reject_observer(
-          [checker](MsgId mid) { checker->note_rejected(mid); });
-    }
+    Checker* checker = &checker_;
+    client->add_multicast_observer([checker](const MulticastMessage& msg) {
+      checker->note_multicast(msg);
+    });
+    // Explicitly failed requests (Busy rejection / expiry / timeout) are
+    // exempt from quiesced validity: "delivered or explicitly rejected".
+    client->add_reject_observer(
+        [checker](MsgId mid) { checker->note_rejected(mid); });
     clients_.push_back(client);
     sim_->add_process(deployment_.clients[i], client);
   }
@@ -90,25 +88,22 @@ Cluster::Cluster(const ExperimentConfig& config)
 std::shared_ptr<ReplicaNode> Cluster::make_replica(
     NodeId node, std::shared_ptr<AtomicMulticast> protocol) {
   auto replica = std::make_shared<ReplicaNode>(std::move(protocol));
-  if (config_.run_checker) {
-    Checker* checker = &checker_;
-    if (config_.durability.durable) {
-      // Crash recovery re-externalizes in-doubt deliveries at-least-once.
-      // This is the application-level dedup every durable client of the
-      // subsystem needs: it outlives replica rebuilds, so the checker's
-      // per-node sequence stays exactly-once.
-      std::set<MsgId>* seen = &seen_deliveries_[node];
-      replica->add_observer(
-          [checker, seen](Context& ctx, const MulticastMessage& msg) {
-            if (!seen->insert(msg.id).second) return;
-            checker->note_delivery(ctx.self(), msg.id);
-          });
-    } else {
-      replica->add_observer(
-          [checker](Context& ctx, const MulticastMessage& msg) {
-            checker->note_delivery(ctx.self(), msg.id);
-          });
-    }
+  Checker* checker = &checker_;
+  if (config_.durability.durable) {
+    // Crash recovery re-externalizes in-doubt deliveries at-least-once.
+    // This is the application-level dedup every durable client of the
+    // subsystem needs: it outlives replica rebuilds, so the checker's
+    // per-node sequence stays exactly-once.
+    std::set<MsgId>* seen = &seen_deliveries_[node];
+    replica->add_observer(
+        [checker, seen](Context& ctx, const MulticastMessage& msg) {
+          if (!seen->insert(msg.id).second) return;
+          checker->note_delivery(ctx.self(), msg.id);
+        });
+  } else {
+    replica->add_observer([checker](Context& ctx, const MulticastMessage& msg) {
+      checker->note_delivery(ctx.self(), msg.id);
+    });
   }
   return replica;
 }
@@ -384,9 +379,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.latency = cluster.metrics().latency();
   result.throughput = cluster.metrics().throughput();
   result.slices = cluster.metrics().slice_counts();
-  if (config.run_checker) {
-    result.report = cluster.checker().check(result.drained, config.check_level);
-  }
+  result.report = cluster.checker().check(result.drained, config.check_level);
   result.events_processed = sim.events_processed();
   result.messages_sent = sim.messages_sent();
   const auto [fast, slow] = cluster.path_stats();
@@ -411,7 +404,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.obs = obs;
     obs->metrics.gauge("sim.events_processed")
         .set(static_cast<std::int64_t>(result.events_processed));
-    if (config.run_checker) result.report.publish(obs->metrics);
+    result.report.publish(obs->metrics);
     if (config.trace && config.delta > 0) {
       result.delta_summary = obs->tracer.summarize(config.delta);
     }

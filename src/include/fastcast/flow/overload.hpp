@@ -45,8 +45,6 @@ struct Options {
   Duration target_delay = milliseconds(5);   ///< CoDel sojourn target
   Duration trigger_window = milliseconds(20);///< sustained-excess window
   std::size_t max_depth = 4096;   ///< hard pipeline-depth backstop
-  double ewma_alpha = 0.3;        ///< sojourn EWMA smoothing factor
-  Duration retry_after_base = milliseconds(2);  ///< floor for the Busy hint
 };
 
 /// Client-side robustness knobs. Every behaviour is gated on its knob being
@@ -145,15 +143,18 @@ class OverloadController {
   /// queues need to drain.
   Duration retry_after() const {
     const Duration est = total_delay();
-    return est > opt_.retry_after_base ? est : opt_.retry_after_base;
+    return est > kRetryAfterBase ? est : kRetryAfterBase;
   }
 
   bool shedding() const { return shedding_; }
   std::size_t depth() const { return depth_; }
 
+  static constexpr double kEwmaAlpha = 0.3;  ///< sojourn EWMA smoothing factor
+  static constexpr Duration kRetryAfterBase = milliseconds(2);  ///< Busy hint floor
+
  private:
   void update(Time now);
-  static void note(const Options& opt, double& ewma, Time& last, Duration sample);
+  static void note(double& ewma, Time& last, Duration sample);
   void decay_idle(Time now, double& ewma, Time& last) const;
 
   Options opt_;

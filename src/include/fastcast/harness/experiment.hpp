@@ -40,7 +40,6 @@ struct ExperimentConfig {
   bool drain = true;
   Duration drain_grace = seconds(30);
 
-  bool run_checker = true;
   Checker::Level check_level = Checker::Level::kFast;
 
   // Environment/fault knobs.

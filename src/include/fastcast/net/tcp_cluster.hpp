@@ -36,7 +36,6 @@ class TcpCluster {
   struct Config {
     Membership membership;
     std::uint16_t base_port = 17400;
-    int poll_interval_ms = 2;
     /// Kept so existing configs still compile; nothing reads it, since
     /// every node's transport runs on poll(2).
     BackendKind backend = BackendKind::kPoll;

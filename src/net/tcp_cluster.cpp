@@ -11,6 +11,11 @@
 namespace fastcast::net {
 
 namespace {
+
+/// Longest a node thread blocks in poll(2) before re-checking its timers
+/// and the stop flag.
+constexpr int kPollIntervalMs = 2;
+
 Time steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -64,8 +69,7 @@ class TcpCluster::NodeRuntime final : public Context {
   void cancel_timer(TimerId id) override { timers_.cancel(id); }
 
   // Node thread main loop ----------------------------------------------------
-  void run(std::atomic<bool>& running, int poll_interval_ms, Time epoch,
-           bool recovering) {
+  void run(std::atomic<bool>& running, Time epoch, bool recovering) {
     epoch_ = epoch;
     active_.store(true, std::memory_order_relaxed);
     if (recovering) {
@@ -78,7 +82,7 @@ class TcpCluster::NodeRuntime final : public Context {
     }
     while (running.load(std::memory_order_relaxed) &&
            active_.load(std::memory_order_relaxed)) {
-      int timeout = poll_interval_ms;
+      int timeout = kPollIntervalMs;
       Time due = 0;
       if (timers_.next_due(due)) {
         const Duration until = due - now();
@@ -86,7 +90,7 @@ class TcpCluster::NodeRuntime final : public Context {
           timeout = 0;
         } else {
           timeout = static_cast<int>(
-              std::min<Duration>(until / kMillisecond + 1, poll_interval_ms));
+              std::min<Duration>(until / kMillisecond + 1, kPollIntervalMs));
         }
       }
       transport_.poll_once(timeout);
@@ -139,7 +143,7 @@ void TcpCluster::start() {
   threads_.resize(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     threads_[i] = std::thread([this, node = nodes_[i].get(), epoch] {
-      node->run(running_, config_.poll_interval_ms, epoch, /*recovering=*/false);
+      node->run(running_, epoch, /*recovering=*/false);
     });
   }
 }
@@ -178,7 +182,7 @@ void TcpCluster::restart_node(NodeId node, std::shared_ptr<Process> replacement)
   n->listen();  // SO_REUSEADDR: rebinding the same port succeeds promptly
   const Time epoch = n->epoch();
   threads_[node] = std::thread([this, n, epoch] {
-    n->run(running_, config_.poll_interval_ms, epoch, /*recovering=*/true);
+    n->run(running_, epoch, /*recovering=*/true);
   });
   if (config_.observability) {
     config_.observability->metrics.counter("fault.recoveries").inc();

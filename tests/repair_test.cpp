@@ -661,7 +661,6 @@ LagOutcome run_lag_scenario(bool repair_on) {
   cfg.seed = 7;
   cfg.dst_factory = harness::same_dst_for_all(harness::random_subset(2, 2));
   cfg.drop_probability = 0.01;  // arms catch-up polling + repropose
-  cfg.run_checker = true;
   cfg.check_level = Checker::Level::kFull;
   if (repair_on) {
     cfg.repair.enable = true;
