@@ -1,12 +1,8 @@
 #include "fastcast/harness/experiment.hpp"
 
-#include <fstream>
-
 #include "fastcast/amcast/basecast.hpp"
 #include "fastcast/amcast/multipaxos_amcast.hpp"
 #include "fastcast/common/assert.hpp"
-#include "fastcast/common/logging.hpp"
-#include "fastcast/obs/json.hpp"
 
 namespace fastcast::harness {
 
@@ -24,7 +20,7 @@ Cluster::Cluster(const ExperimentConfig& config)
                      : make_latency(config_.topo.env, &deployment_.membership);
   sim_ = std::make_unique<sim::Simulator>(deployment_.membership,
                                           std::move(latency), sim_config);
-  if (config_.observe || config_.trace || !config_.metrics_out.empty()) {
+  if (config_.observe || config_.trace) {
     obs_ = std::make_shared<obs::Observability>();
     obs_->tracing = config_.trace;
     sim_->set_observability(obs_.get());
@@ -247,111 +243,6 @@ std::uint64_t Cluster::total_in_flight() const {
   return total;
 }
 
-namespace {
-
-/// {"config": ..., "latency_ms": ..., "throughput": ..., "metrics": ...,
-///  "delta": ...} — the per-run metrics.json consumed by the bench tooling.
-void write_metrics_file(const std::string& path, const ExperimentConfig& config,
-                        const ExperimentResult& result) {
-  std::ofstream out(path);
-  if (!out) {
-    FC_WARN("cannot write metrics file %s", path.c_str());
-    return;
-  }
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("config").begin_object();
-  w.kv("protocol", to_string(config.topo.protocol));
-  w.kv("environment", to_string(config.topo.env));
-  w.kv("groups", static_cast<std::uint64_t>(config.topo.groups));
-  w.kv("replicas_per_group",
-       static_cast<std::uint64_t>(config.topo.replicas_per_group));
-  w.kv("clients", static_cast<std::uint64_t>(config.topo.clients));
-  w.kv("seed", config.seed);
-  w.kv("measure_ms", to_milliseconds(config.measure));
-  w.end_object();
-
-  w.key("latency_ms").begin_object();
-  if (!result.latency.empty()) {
-    w.kv("median", to_milliseconds(result.latency.median()));
-    w.kv("p95", to_milliseconds(result.latency.percentile(95.0)));
-    w.kv("p99", to_milliseconds(result.latency.percentile(99.0)));
-    w.kv("mean", result.latency.mean() / static_cast<double>(kMillisecond));
-    w.kv("samples", static_cast<std::uint64_t>(result.latency.count()));
-  }
-  w.end_object();
-
-  w.key("throughput").begin_object();
-  w.kv("mean_per_sec", result.throughput.mean_per_sec);
-  w.kv("ci95_per_sec", result.throughput.ci95_per_sec);
-  w.kv("total", result.throughput.total);
-  w.end_object();
-
-  w.key("overload").begin_object();
-  w.kv("sent", result.sent);
-  w.kv("completions", result.completions);
-  w.kv("window_goodput", result.window_goodput);
-  w.kv("rejected", result.rejected);
-  w.kv("expired", result.expired);
-  w.kv("timed_out", result.timed_out);
-  w.kv("deadline_miss", result.deadline_miss);
-  w.kv("suppressed", result.suppressed);
-  w.kv("retries", result.retries);
-  w.kv("busy_received", result.busy_received);
-  w.kv("in_flight_end", result.in_flight_end);
-  w.end_object();
-
-  if (result.obs) {
-    const auto cs = result.obs->metrics.counters();
-    const auto gs = result.obs->metrics.gauges();
-    const auto hs = result.obs->metrics.histograms();
-    w.key("counters").begin_object();
-    for (const auto& [name, v] : cs) w.kv(name, v);
-    w.end_object();
-    w.key("gauges").begin_object();
-    for (const auto& [name, v] : gs) w.kv(name, v);
-    w.end_object();
-    w.key("histograms").begin_object();
-    for (const auto& [name, h] : hs) {
-      w.key(name).begin_object();
-      w.kv("count", h.count);
-      w.kv("p50", h.p50);
-      w.kv("p95", h.p95);
-      w.kv("p99", h.p99);
-      w.end_object();
-    }
-    w.end_object();
-  }
-
-  if (config.trace && config.delta > 0) {
-    w.key("delta").begin_object();
-    w.kv("delta_ms", to_milliseconds(result.delta_summary.delta));
-    w.kv("deliveries", result.delta_summary.deliveries);
-    w.kv("unmatched", result.delta_summary.unmatched);
-    w.key("classes").begin_array();
-    for (const auto& c : result.delta_summary.classes) {
-      w.begin_object();
-      w.kv("dst_groups", static_cast<std::uint64_t>(c.dst_groups));
-      w.kv("samples", c.samples);
-      w.kv("min_hops", c.min_hops);
-      w.kv("mean_hops", c.mean_hops);
-      w.kv("max_hops", c.max_hops);
-      w.key("histogram").begin_object();
-      for (const auto& [hops, n] : c.histogram) {
-        w.kv(std::to_string(hops), n);
-      }
-      w.end_object();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  out << '\n';
-}
-
-}  // namespace
-
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   Cluster cluster(config);
   auto& sim = cluster.simulator();
@@ -407,9 +298,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.report.publish(obs->metrics);
     if (config.trace && config.delta > 0) {
       result.delta_summary = obs->tracer.summarize(config.delta);
-    }
-    if (!config.metrics_out.empty()) {
-      write_metrics_file(config.metrics_out, config, result);
     }
   }
   return result;

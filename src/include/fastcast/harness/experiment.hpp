@@ -90,7 +90,6 @@ struct ExperimentConfig {
   // Observability.
   bool observe = false;        ///< attach a metrics registry to the run
   bool trace = false;          ///< also record per-message spans (implies observe)
-  std::string metrics_out;     ///< write metrics JSON here (implies observe)
   /// Nominal one-way delay for empirical δ-accounting; with trace on and
   /// delta > 0 the result carries a DeltaSummary of hop counts.
   Duration delta = 0;
@@ -138,7 +137,7 @@ struct ExperimentResult {
   /// Per-slice completion counts of the measurement window (the data behind
   /// `throughput`); lets callers see duty-cycling a mean would hide.
   std::vector<std::uint64_t> slices;
-  /// Run-wide metrics/spans; null unless observe/trace/metrics_out was set.
+  /// Run-wide metrics/spans; null unless observe or trace was set.
   std::shared_ptr<obs::Observability> obs;
   /// Filled when trace is on and delta > 0.
   obs::DeltaSummary delta_summary;
