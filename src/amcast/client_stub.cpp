@@ -11,15 +11,17 @@ void MultiPaxosClientStub::amulticast(Context& ctx, const MulticastMessage& msg)
     o->trace(msg.id, obs::SpanEventKind::kMcast, ctx.self(), kNoGroup,
              ctx.now(), static_cast<std::uint32_t>(msg.dst.size()));
   }
-  pending_.emplace(msg.id, msg);
   ctx.send(cfg_.ordering_members.front(), Message{MpSubmit{msg}});
-  if (!cfg_.reliable_links) arm_retry(ctx);
+  if (!cfg_.reliable_links) {
+    pending_.emplace(msg.id, msg);
+    arm_retry(ctx);
+  }
 }
 
 void MultiPaxosClientStub::arm_retry(Context& ctx) {
   if (timer_armed_) return;
   timer_armed_ = true;
-  ctx.set_timer(cfg_.retry_interval, [this, &ctx] {
+  ctx.set_timer(kRetryInterval, [this, &ctx] {
     timer_armed_ = false;
     if (pending_.empty()) return;
     // Rotate through ordering members so a crashed leader is bypassed.

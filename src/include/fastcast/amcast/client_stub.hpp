@@ -61,16 +61,17 @@ class GenuineClientStub final : public ClientStub {
   ReliableMulticast rm_;
 };
 
-/// Submission to the fixed ordering group — MultiPaxos clients. Retries
-/// against successive ordering members until complete() (covers message
-/// loss and ordering-leader failover).
+/// Submission to the fixed ordering group — MultiPaxos clients. Over lossy
+/// links, retries against successive ordering members until complete()
+/// (covers message loss and ordering-leader failover).
 class MultiPaxosClientStub final : public ClientStub {
  public:
   struct Config {
     std::vector<NodeId> ordering_members;
     bool reliable_links = true;           ///< disables the retry timer
-    Duration retry_interval = milliseconds(150);
   };
+
+  static constexpr Duration kRetryInterval = milliseconds(150);
 
   explicit MultiPaxosClientStub(Config config) : cfg_(std::move(config)) {}
 
@@ -81,6 +82,8 @@ class MultiPaxosClientStub final : public ClientStub {
   void arm_retry(Context& ctx);
 
   Config cfg_;
+  /// Submissions awaiting complete(), kept only for the retry timer (lossy
+  /// links).
   std::map<MsgId, MulticastMessage> pending_;
   std::size_t retry_target_ = 0;
   bool timer_armed_ = false;
