@@ -156,7 +156,7 @@ double bench_storage_one(std::unique_ptr<storage::StorageBackend> backend,
   std::array<std::byte, 64> value{};
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < records; ++i) {
-    st.log_accept(0, i, Ballot{1, 0}, value);
+    st.log(storage::WalRecord::accept(0, i, Ballot{1, 0}, value));
     st.commit();
   }
   st.flush();

@@ -58,7 +58,7 @@ void DeliveryBuffer::store_body(Context& ctx, const MulticastMessage& msg) {
       // Persist the payload: after the origin's retransmission settles,
       // replaying this record is the only way a restarted node can still
       // deliver the message. Input, not externalization — no gate.
-      st->log_body(msg.id, encode_msg_batch({msg}));
+      st->log(storage::WalRecord::body(msg));
       st->commit();
     }
     // A formed FINAL may have been waiting for this body.

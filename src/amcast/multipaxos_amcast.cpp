@@ -46,16 +46,14 @@ void MultiPaxosAmcast::restore_durable(const storage::DurableState& durable) {
   // still reference it after the leader's retransmissions stopped, so the
   // WAL is the only place the payload survives a crash before delivery.
   for (const auto& [mid, encoded] : durable.bodies) {
-    std::vector<MulticastMessage> batch;
-    if (!decode_msg_batch(encoded, batch)) continue;  // guarded by WAL CRC
-    for (MulticastMessage& m : batch) {
-      const MsgId id = m.id;
-      const bool deliverable_here = cfg_.my_group != kNoGroup &&
-                                    addressed_to(m, cfg_.my_group) &&
-                                    !delivered_.contains(id);
-      if (bodies_.emplace(id, std::move(m)).second && !deliverable_here) {
-        retain_delivered(id);  // serve pulls, but bounded
-      }
+    MulticastMessage m;
+    if (!storage::decode_body(encoded, m)) continue;  // guarded by WAL CRC
+    const MsgId id = m.id;
+    const bool deliverable_here = cfg_.my_group != kNoGroup &&
+                                  addressed_to(m, cfg_.my_group) &&
+                                  !delivered_.contains(id);
+    if (bodies_.emplace(id, std::move(m)).second && !deliverable_here) {
+      retain_delivered(id);  // serve pulls, but bounded
     }
   }
 }
@@ -213,7 +211,7 @@ void MultiPaxosAmcast::store_body(Context& ctx, const MulticastMessage& msg) {
     // Input, not externalization — logged unconditionally, no durability
     // gate. Once the leader stops re-sending, this WAL record is the only
     // copy a restarted node can still deliver (or serve to a peer).
-    st->log_body(msg.id, encode_msg_batch({msg}));
+    st->log(storage::WalRecord::body(msg));
     st->commit();
   }
   if (cfg_.my_group == kNoGroup || !addressed_to(msg, cfg_.my_group)) {
@@ -387,7 +385,9 @@ void MultiPaxosAmcast::retain_delivered(MsgId mid) {
     // every snapshot would carry it forever. Advisory: no commit. Bodies
     // evicted while restoring (no context yet) stay until the next restart.
     if (ctx_ != nullptr && !delivered_.contains(old)) {
-      if (storage::NodeStorage* st = ctx_->storage()) st->log_drop_body(old);
+      if (storage::NodeStorage* st = ctx_->storage()) {
+        st->log(storage::WalRecord::drop_body(old));
+      }
     }
   }
 }

@@ -7,26 +7,23 @@
 
 namespace fastcast {
 
-ReplicaNode::ReplicaNode(std::shared_ptr<AtomicMulticast> protocol, Options options)
-    : protocol_(std::move(protocol)), options_(options) {
+ReplicaNode::ReplicaNode(std::shared_ptr<AtomicMulticast> protocol)
+    : protocol_(std::move(protocol)) {
   FC_ASSERT(protocol_ != nullptr);
   protocol_->set_deliver([this](Context& ctx, const MulticastMessage& msg) {
     ++delivered_count_;
-    if (storage::NodeStorage* st = ctx.storage()) {
-      // The delivered record is what recovery dedups on; the ack and the
-      // checker/application observers must not see a delivery the WAL can
-      // still forget, so they wait behind its commit.
-      const storage::Lsn lsn = st->log_delivered(msg.id);
-      st->when_durable(lsn, [this, c = &ctx, msg]() { externalize(*c, msg); });
-      st->commit();
-    } else {
-      externalize(ctx, msg);
-    }
+    // The delivered record is what recovery dedups on; the ack and the
+    // checker/application observers must not see a delivery the WAL can
+    // still forget, so they wait behind its commit.
+    storage::log_then(
+        ctx.storage(),
+        [&](storage::NodeStorage& st) {
+          return st.log(storage::WalRecord::delivered(msg.id));
+        },
+        [this](Context* c, const MulticastMessage& m) { externalize(*c, m); },
+        &ctx, msg);
   });
 }
-
-ReplicaNode::ReplicaNode(std::shared_ptr<AtomicMulticast> protocol)
-    : ReplicaNode(std::move(protocol), Options{}) {}
 
 void ReplicaNode::externalize(Context& ctx, const MulticastMessage& msg) {
   if (auto* o = ctx.obs()) {
@@ -34,7 +31,7 @@ void ReplicaNode::externalize(Context& ctx, const MulticastMessage& msg) {
     o->trace(msg.id, obs::SpanEventKind::kAdeliver, ctx.self(), ctx.my_group(),
              ctx.now(), static_cast<std::uint32_t>(msg.dst.size()));
   }
-  if (options_.send_acks && msg.sender != kInvalidNode) {
+  if (msg.sender != kInvalidNode) {
     ctx.send(msg.sender, Message{AmAck{msg.id, ctx.my_group(), ctx.self()}});
   }
   for (const auto& observer : observers_) observer(ctx, msg);
@@ -46,23 +43,13 @@ void ReplicaNode::redeliver_in_doubt(Context& ctx) {
   for (const storage::NodeStorage::InDoubtDelivery& d :
        st->in_doubt_deliveries()) {
     MulticastMessage msg;
-    bool decoded = false;
-    if (!d.body.empty()) {
-      std::vector<MulticastMessage> batch;
-      if (decode_msg_batch(d.body, batch)) {
-        for (MulticastMessage& m : batch) {
-          if (m.id != d.mid) continue;
-          msg = std::move(m);
-          decoded = true;
-        }
-      }
-    }
-    if (!decoded) {
+    if (!storage::decode_body(d.body, msg) || msg.id != d.mid) {
       // No body in the WAL (e.g. state-machine protocols that only log
       // consensus values). The ack and the delivery observers key on the
       // id, and the id encodes the sender.
+      msg = MulticastMessage{};
       msg.id = d.mid;
-      msg.sender = static_cast<NodeId>(d.mid >> 32);
+      msg.sender = msg_id_sender(d.mid);
     }
     externalize(ctx, msg);
   }

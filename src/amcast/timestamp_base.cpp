@@ -85,9 +85,8 @@ void TimestampProtocolBase::restore_durable(const storage::DurableState& durable
   // torn WAL loses only a suffix, so every START below the maximum over
   // delivered ∪ bodies was logged and is in one of the two.
   for (const auto& [mid, encoded] : durable.bodies) {
-    std::vector<MulticastMessage> batch;
-    if (!decode_msg_batch(encoded, batch)) continue;  // guarded by WAL CRC
-    for (const MulticastMessage& m : batch) buffer_.restore_body(m);
+    MulticastMessage m;
+    if (storage::decode_body(encoded, m)) buffer_.restore_body(m);
   }
   for (const MsgId mid : durable.delivered) buffer_.restore_started(mid);
   replay_delivered_ = durable.delivered;

@@ -25,12 +25,6 @@ namespace fastcast {
 
 class ReplicaNode final : public Process {
  public:
-  struct Options {
-    /// Send AmAck to msg.sender on every a-delivery.
-    bool send_acks = true;
-  };
-
-  ReplicaNode(std::shared_ptr<AtomicMulticast> protocol, Options options);
   explicit ReplicaNode(std::shared_ptr<AtomicMulticast> protocol);
 
   /// Observers invoked on every a-delivery (after the ack is queued), in
@@ -52,7 +46,6 @@ class ReplicaNode final : public Process {
   void arm_commit_tick(Context& ctx);
 
   std::shared_ptr<AtomicMulticast> protocol_;
-  Options options_;
   std::vector<ObserverFn> observers_;
   std::uint64_t delivered_count_ = 0;
   bool commit_tick_armed_ = false;

@@ -148,7 +148,8 @@ class RepairCoordinator {
 
   std::map<NodeId, PeerMark> marks_;  ///< last announce per learner (and self)
   InstanceId prune_floor_ = 0;
-  InstanceId logged_settled_ = 0;   ///< highest settled frontier WAL-logged
+  /// Highest settled frontier WAL-logged; without storage, durable_settled_.
+  InstanceId logged_settled_ = 0;
   /// Highest settled frontier whose kSettled record is known durable — the
   /// only value announce() may ship, since peers prune to it.
   InstanceId durable_settled_ = 0;

@@ -48,12 +48,13 @@ struct RmConfig {
     kSelf,    ///< every receiver relays its first delivery (uniform-ish)
   };
   Relay relay = Relay::kNone;
-
-  Duration retransmit_interval = milliseconds(40);
 };
 
 class ReliableMulticast {
  public:
+  /// Lossy links: how often the origin re-sends every unacked frame.
+  static constexpr Duration kRetransmitInterval = milliseconds(40);
+
   explicit ReliableMulticast(RmConfig config = {}) : config_(config) {}
 
   /// Delivery upcall: FIFO per origin, invoked exactly once per message.
@@ -109,9 +110,9 @@ class ReliableMulticast {
   // Sender side.
   struct Staged {
     RmData frame;
-    /// WAL position covering the frame's seq advance and staged copy. The
-    /// frame must never hit the wire — first send OR retransmission —
-    /// before this is durable: a crash could otherwise forget the seq
+    /// The staging multicast's gate (its last record's LSN), which covers
+    /// the frame's seq advance and staged copy. The frame must never hit
+    /// the wire — first send OR retransmission — before this is durable: a crash could otherwise forget the seq
     /// advance of a frame a receiver already saw, and the recovered
     /// sender would reuse the seq for a different message, which every
     /// receiver silently drops as a duplicate. 0 = no gate (no storage,

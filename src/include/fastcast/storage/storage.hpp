@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "fastcast/common/time.hpp"
 #include "fastcast/storage/backend.hpp"
@@ -17,13 +18,14 @@
 /// \file storage.hpp
 /// Per-node durability facade: WAL + snapshots + the durability gate.
 ///
-/// Protocol code logs a typed record (log_promise, log_accept, ...) and gets
-/// back an LSN; anything that must not be externalized before the record is
-/// durable — a P1b/P2b reply, an a-deliver ack — is queued via
-/// when_durable(lsn, fn) and runs when the group commit covering that lsn
-/// completes. On a crash the queued closures are simply dropped: the
+/// Protocol code states what it logs and what it externalizes through
+/// log_then() below, never whether storage is attached. With storage the
+/// records are appended (log(WalRecord::...)) and the externalization — a
+/// P1b/P2b reply, an a-deliver ack — runs when the group commit covering
+/// them completes. On a crash the queued closures are simply dropped: the
 /// externalization never happened, so replaying the record and redoing the
-/// action is exactly-once from every other node's point of view.
+/// action is exactly-once from every other node's point of view. Without
+/// storage the externalization runs at once.
 ///
 /// The fsync policy decides when commits happen:
 ///   * always        — every commit() fsyncs (safe, slow)
@@ -60,10 +62,12 @@ class NodeStorage {
  public:
   struct Config {
     FsyncPolicy fsync;
-    std::size_t segment_bytes = 256 * 1024;
     /// Take a snapshot (and truncate the log) every this many records.
     std::uint64_t snapshot_every = 4096;
   };
+
+  /// A WAL segment rolls over once it holds this many payload bytes.
+  static constexpr std::size_t kSegmentBytes = 256 * 1024;
 
   /// A delivery replayed from the WAL whose externalization (client ack,
   /// application/checker observers) may never have run: the crash dropped
@@ -75,7 +79,7 @@ class NodeStorage {
   /// delivery order; receivers dedup by message id.
   struct InDoubtDelivery {
     MsgId mid = 0;
-    std::vector<std::byte> body;  ///< encoded batch when the WAL has it
+    std::vector<std::byte> body;  ///< kBody value (decode_body) if the WAL has it
   };
 
   /// What recovery found, for reports and tests.
@@ -92,27 +96,23 @@ class NodeStorage {
   NodeStorage(const NodeStorage&) = delete;
   NodeStorage& operator=(const NodeStorage&) = delete;
 
-  // --- logging (append; durable only after a covering commit) ------------
-  Lsn log_promise(GroupId group, Ballot ballot);
-  Lsn log_accept(GroupId group, InstanceId instance, Ballot ballot,
-                 std::span<const std::byte> value);
-  Lsn log_rm_next_seq(NodeId dest, std::uint64_t next);
-  Lsn log_rm_stage(NodeId dest, std::uint64_t seq,
-                   std::span<const std::byte> frame);
-  Lsn log_rm_settle(NodeId dest, std::uint64_t seq);
-  Lsn log_rm_progress(NodeId origin, std::uint64_t next_expected);
-  Lsn log_delivered(MsgId mid);
-  Lsn log_body(MsgId mid, std::span<const std::byte> encoded);
-  Lsn log_settled(GroupId group, InstanceId frontier, std::uint64_t clock);
-  Lsn log_prune_accepted(GroupId group, InstanceId floor);
-  Lsn log_repair_install(GroupId group, InstanceId from, InstanceId through);
-  Lsn log_drop_body(MsgId mid);
+  /// Appends `rec` and folds it into state(); durable only after a covering
+  /// commit. Returns its LSN.
+  Lsn log(const WalRecord& rec);
 
   // --- durability gate ----------------------------------------------------
   /// Runs `fn` once every record up to `lsn` is committed — immediately if
   /// it already is. Closures are dropped (never run) on crash or
   /// drop_pending(); callers must treat that as "the action never happened".
+  /// Protocol code reaches this through log_then().
   void when_durable(Lsn lsn, std::function<void()> fn);
+
+  /// Runs `fn` once every record logged so far is committed, logging and
+  /// committing nothing itself: for re-acknowledging input that an earlier
+  /// record already covers.
+  void after_logged(std::function<void()> fn) {
+    when_durable(last_lsn(), std::move(fn));
+  }
 
   /// Policy-driven commit point: kAlways flushes now; kBatch flushes when
   /// the batch is full (the interval timer calls flush() for the rest);
@@ -158,7 +158,6 @@ class NodeStorage {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  Lsn append(const WalRecord& rec);
   void release_gated();
   void maybe_snapshot();
 
@@ -183,6 +182,38 @@ class NodeStorage {
 
   obs::MetricsRegistry* metrics_ = nullptr;
 };
+
+/// WAL-before-send: no message leaves a node before the state it reveals is
+/// durable (DESIGN.md §10). With storage, `log(*st)` appends the records
+/// `action` reveals and returns the last one's LSN; `action(args...)` runs
+/// once that LSN is durable, and the batch is commit()ted. Without storage
+/// `action(args...)` runs at once and `log` never runs, so no record is
+/// built. `args` reach `action` by reference when it runs at once and are
+/// copied (or moved) into the gated closure otherwise: pass what the action
+/// reads from the caller's frame through them rather than capturing it, and
+/// the path without storage copies nothing. Returns the LSN the action waits
+/// for, 0 without storage (which is_durable() treats as durable).
+template <class LogFn, class Action, class... Args>
+Lsn log_then(NodeStorage* st, LogFn&& log, Action&& action, Args&&... args) {
+  if (st == nullptr) {
+    action(std::forward<Args>(args)...);
+    return 0;
+  }
+  const Lsn lsn = log(*st);
+  st->when_durable(lsn, [action = std::forward<Action>(action),
+                         ... args = std::forward<Args>(args)]() mutable {
+    action(std::move(args)...);
+  });
+  st->commit();
+  return lsn;
+}
+
+/// True once `lsn` (as returned by log_then) is durable; always true
+/// without storage. Retransmissions check it before re-sending what a gate
+/// held back the first time.
+inline bool is_durable(const NodeStorage* st, Lsn lsn) {
+  return st == nullptr || lsn <= st->durable_lsn();
+}
 
 /// Creates and hands out per-node storages. With a wal_dir each node gets a
 /// FileBackend under `<wal_dir>/node-<id>`; without one, a deterministic

@@ -8,6 +8,7 @@
 
 #include "fastcast/common/codec.hpp"
 #include "fastcast/runtime/ids.hpp"
+#include "fastcast/runtime/message.hpp"
 #include "fastcast/storage/backend.hpp"
 
 /// \file wal.hpp
@@ -46,7 +47,7 @@ enum class WalRecordType : std::uint8_t {
   kRmSettle = 5,    ///< staged frame (node, seq) acked; retransmission over
   kRmProgress = 6,  ///< rmcast receiver next_expected for origin `node` = `seq`
   kDelivered = 7,   ///< message `seq` (a MsgId) externalized as a-delivered
-  kBody = 8,        ///< undelivered message body (seq = MsgId, value = encoded batch)
+  kBody = 8,        ///< undelivered message body (seq = MsgId, value = WalRecord::body)
   kSettled = 9,        ///< `group`'s settled frontier reached `instance`; `seq` = protocol clock
   kPruneAccepted = 10, ///< `group`'s accepted entries below `instance` pruned
   kRepairInstall = 11, ///< repair installed `group`'s decided range [seq, instance)
@@ -74,7 +75,9 @@ struct WalRecord {
   static WalRecord rm_settle(NodeId dest, std::uint64_t seq);
   static WalRecord rm_progress(NodeId origin, std::uint64_t next_expected);
   static WalRecord delivered(MsgId mid);
-  static WalRecord body(MsgId mid, std::span<const std::byte> encoded);
+  /// The message as a one-element batch (encode_msg_batch); decode_body
+  /// reads it back.
+  static WalRecord body(const MulticastMessage& msg);
   static WalRecord settled(GroupId g, InstanceId frontier, std::uint64_t clock);
   static WalRecord prune_accepted(GroupId g, InstanceId floor);
   static WalRecord repair_install(GroupId g, InstanceId from, InstanceId through);
@@ -82,6 +85,10 @@ struct WalRecord {
 
   friend bool operator==(const WalRecord&, const WalRecord&) = default;
 };
+
+/// Reads a kBody record's value back into the message it stores; false
+/// unless the value is exactly one encoded message.
+bool decode_body(std::span<const std::byte> value, MulticastMessage& out);
 
 /// Record-body codec; the [length][crc] framing is the Wal's job.
 void encode_record(Writer& w, const WalRecord& rec);

@@ -33,19 +33,16 @@ void Acceptor::on_p1a(Context& ctx, NodeId from, const P1a& msg) {
     reply.accepted.push_back({it->first, it->second.vballot, it->second.value});
   }
 
-  if (storage::NodeStorage* st = ctx.storage()) {
-    // The promise record is appended after any accept records it reports,
-    // so gating the reply on it transitively covers them all. The closure
-    // is dropped if the node crashes first — then the promise was never
-    // externalized and forgetting it is harmless.
-    const storage::Lsn lsn = st->log_promise(group_, promised_);
-    st->when_durable(lsn, [c = &ctx, from, reply = std::move(reply)]() {
-      c->send(from, Message{reply});
-    });
-    st->commit();
-  } else {
-    ctx.send(from, Message{std::move(reply)});
-  }
+  // The promise record is appended after any accept records it reports, so
+  // gating the reply on it transitively covers them all. If the node crashes
+  // first the promise was never externalized and forgetting it is harmless.
+  storage::log_then(
+      ctx.storage(),
+      [&](storage::NodeStorage& st) {
+        return st.log(storage::WalRecord::promise(group_, promised_));
+      },
+      [](Context* c, NodeId to, P1b&& r) { c->send(to, Message{std::move(r)}); },
+      &ctx, from, std::move(reply));
 }
 
 void Acceptor::on_p2a(Context& ctx, NodeId from, const P2a& msg) {
@@ -63,19 +60,18 @@ void Acceptor::on_p2a(Context& ctx, NodeId from, const P2a& msg) {
   vote.acceptor = ctx.self();
   vote.value = msg.value;
 
-  if (storage::NodeStorage* st = ctx.storage()) {
-    // An accept record implies the promise (DurableState::apply), so one
-    // record covers both state changes this handler made.
-    const storage::Lsn lsn =
-        st->log_accept(group_, msg.instance, msg.ballot, msg.value);
-    st->when_durable(
-        lsn, [c = &ctx, learners = learners_, vote = std::move(vote)]() {
-          for (NodeId learner : learners) c->send(learner, Message{vote});
-        });
-    st->commit();
-  } else {
-    for (NodeId learner : learners_) ctx.send(learner, Message{vote});
-  }
+  // An accept record implies the promise (DurableState::apply), so one
+  // record covers both state changes this handler made.
+  storage::log_then(
+      ctx.storage(),
+      [&](storage::NodeStorage& st) {
+        return st.log(storage::WalRecord::accept(group_, msg.instance,
+                                                 msg.ballot, msg.value));
+      },
+      [this](Context* c, const P2b& v) {
+        for (NodeId learner : learners_) c->send(learner, Message{v});
+      },
+      &ctx, std::move(vote));
 }
 
 void Acceptor::on_p2b_request(Context& ctx, NodeId from, const P2bRequest& msg) {
@@ -115,7 +111,7 @@ void Acceptor::install(Context& ctx, InstanceId inst,
   // cannot stall on votes split between the sentinel and the real ballot.
   it->second = AcceptedValue{Ballot{}, value};
   if (storage::NodeStorage* st = ctx.storage()) {
-    st->log_accept(group_, inst, Ballot{}, value);
+    st->log(storage::WalRecord::accept(group_, inst, Ballot{}, value));
     st->commit();
   }
 }
@@ -130,7 +126,7 @@ std::size_t Acceptor::prune_below(Context& ctx, InstanceId floor) {
   if (storage::NodeStorage* st = ctx.storage()) {
     // Losing this record to a crash only resurrects already-pruned entries
     // on recovery — wasteful, never unsafe — so the erase need not gate.
-    st->log_prune_accepted(group_, floor);
+    st->log(storage::WalRecord::prune_accepted(group_, floor));
     st->commit();
   }
   return n;

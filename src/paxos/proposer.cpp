@@ -27,23 +27,20 @@ void Proposer::start_leadership(Context& ctx, std::uint32_t round,
   for (auto& [inst, value] : in_flight_) queue_.push_front(std::move(value));
   in_flight_.clear();
 
-  P1a prepare{config_.group, ballot_, prepare_from_};
-  if (storage::NodeStorage* st = ctx.storage()) {
-    // WAL-before-send for the new ballot: log it as a promise record
-    // (raising the durable promise watermark this node restores from) and
-    // gate the P1a on its commit. A restart then picks a round strictly
-    // above anything this incarnation externalized — reusing a round
-    // would let two incarnations put different values in one
-    // (ballot, instance) slot.
-    ballot_lsn_ = st->log_promise(config_.group, ballot_);
-    st->when_durable(ballot_lsn_,
-                     [c = &ctx, acceptors = config_.acceptors, prepare]() {
-                       for (NodeId a : acceptors) c->send(a, Message{prepare});
-                     });
-    st->commit();
-  } else {
-    for (NodeId a : config_.acceptors) ctx.send(a, Message{prepare});
-  }
+  // WAL-before-send for the new ballot: log it as a promise record (raising
+  // the durable promise watermark this node restores from) and gate the P1a
+  // on its commit. A restart then picks a round strictly above anything
+  // this incarnation externalized — reusing a round would let two
+  // incarnations put different values in one (ballot, instance) slot.
+  ballot_lsn_ = storage::log_then(
+      ctx.storage(),
+      [&](storage::NodeStorage& st) {
+        return st.log(storage::WalRecord::promise(config_.group, ballot_));
+      },
+      [this](Context* c, const P1a& prepare) {
+        for (NodeId a : config_.acceptors) c->send(a, Message{prepare});
+      },
+      &ctx, P1a{config_.group, ballot_, prepare_from_});
   arm_retry(ctx);
 }
 
@@ -153,9 +150,8 @@ void Proposer::arm_retry(Context& ctx) {
   retry_armed_ = true;
   ctx.set_timer(config_.retry_interval, [this, &ctx] {
     retry_armed_ = false;
-    storage::NodeStorage* st = ctx.storage();
     if (phase_ == Phase::kPrepare &&
-        (st == nullptr || ballot_lsn_ <= st->durable_lsn())) {
+        storage::is_durable(ctx.storage(), ballot_lsn_)) {
       P1a prepare{config_.group, ballot_, prepare_from_};
       for (NodeId a : config_.acceptors) ctx.send(a, Message{prepare});
     } else if (phase_ == Phase::kSteady) {

@@ -58,7 +58,7 @@ void RepairCoordinator::on_recover(Context& ctx) {
   transfer_active_ = false;
   transfer_server_ = kInvalidNode;
   // Settled records logged but never flushed died with the crash (their
-  // when_durable closures were dropped); fall back to the durable watermark
+  // gated closures were dropped); fall back to the durable watermark
   // so the next announce re-logs anything above it.
   logged_settled_ = durable_settled_;
   arm_announce(ctx);
@@ -94,25 +94,27 @@ void RepairCoordinator::announce(Context& ctx) {
 
   // The settled record trails the kDelivered records it summarizes in LSN
   // order, so any surviving log prefix containing it contains them too.
-  if (storage::NodeStorage* st = ctx.storage()) {
-    if (s.frontier > logged_settled_) {
-      logged_settled_ = s.frontier;
-      const storage::Lsn lsn = st->log_settled(cfg_.group, s.frontier, s.clock);
-      // Peers prune to whatever settled value we announce, so the announced
-      // cursor must never outrun what a crash here would preserve — a node
-      // recovering below the group prune floor finds the gap unlearnable
-      // from anyone. Latch the announceable watermark only once the record
-      // is durable: fsync=always flushes in the commit() below, so the
-      // latch runs before this announce is built; batch trails by at most
-      // one flush. A closure dropped by a crash leaves the latch at the
-      // older durable value, which is exactly what recovery resumes from.
-      st->when_durable(lsn, [this, v = s.frontier] {
-        if (v > durable_settled_) durable_settled_ = v;
-      });
-      st->commit();
-    }
-  } else if (s.frontier > durable_settled_) {
-    durable_settled_ = s.frontier;  // no storage: a restart keeps everything
+  if (s.frontier > logged_settled_) {
+    logged_settled_ = s.frontier;
+    // Peers prune to whatever settled value we announce, so the announced
+    // cursor must never outrun what a crash here would preserve — a node
+    // recovering below the group prune floor finds the gap unlearnable from
+    // anyone. Latch the announceable watermark only once the record is
+    // durable: fsync=always flushes in the commit, so the latch runs before
+    // this announce is built; batch trails by at most one flush; without
+    // storage it latches at once (a restart keeps everything). A closure
+    // dropped by a crash leaves the latch at the older durable value, which
+    // is exactly what recovery resumes from.
+    storage::log_then(
+        ctx.storage(),
+        [&](storage::NodeStorage& st) {
+          return st.log(
+              storage::WalRecord::settled(cfg_.group, s.frontier, s.clock));
+        },
+        [this](InstanceId v) {
+          if (v > durable_settled_) durable_settled_ = v;
+        },
+        s.frontier);
   }
 
   marks_[cfg_.self] = PeerMark{durable_settled_, frontier};
@@ -273,7 +275,8 @@ void RepairCoordinator::on_snapshot(Context& ctx, NodeId from,
   if (storage::NodeStorage* st = ctx.storage()) {
     // Boundary marker: per-entry accepts and deliveries carry the durable
     // state; the marker makes a crash mid-transfer visible in replay.
-    st->log_repair_install(cfg_.group, chunk_first, expect_next_);
+    st->log(storage::WalRecord::repair_install(cfg_.group, chunk_first,
+                                               expect_next_));
     st->commit();
   }
 

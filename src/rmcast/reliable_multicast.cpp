@@ -45,36 +45,43 @@ void ReliableMulticast::multicast(Context& ctx, const std::vector<GroupId>& dst,
   }
   frame.inner = std::move(inner);
 
-  storage::NodeStorage* st = ctx.storage();
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    frame.seq = frame.dest_seqs[i];
-    if (st != nullptr) {
-      // Log the seq advance (a restarted origin must never reuse it) plus
-      // the staged frame when retransmission needs it, and gate the send:
-      // a frame that hits the wire is always reconstructible from disk.
-      storage::Lsn lsn = st->log_rm_next_seq(dests[i], next_seq_[dests[i]]);
-      if (!config_.reliable_links) {
-        stage_scratch_.clear();
-        encode_message_into(Message{frame}, stage_scratch_);
-        lsn = st->log_rm_stage(dests[i], frame.seq, stage_scratch_);
-        // The staged copy carries the same gate so the retransmit timer
-        // cannot leak the frame onto the wire before the seq advance is
-        // durable either.
-        unacked_.emplace(std::make_pair(dests[i], frame.seq),
-                         Staged{frame, lsn});
-      }
-      st->when_durable(lsn, [c = &ctx, to = dests[i], frame]() {
-        c->send(to, Message{frame});
-      });
-    } else {
-      if (!config_.reliable_links) {
-        unacked_.emplace(std::make_pair(dests[i], frame.seq),
-                         Staged{frame, 0});
-      }
-      ctx.send(dests[i], Message{frame});
+  // Log each seq advance (a restarted origin must never reuse it) plus the
+  // staged frame when retransmission needs it, and gate the sends: a frame
+  // that hits the wire is always reconstructible from disk.
+  const bool lossy = !config_.reliable_links;
+  const storage::Lsn lsn = storage::log_then(
+      ctx.storage(),
+      [&](storage::NodeStorage& st) {
+        storage::Lsn last = 0;
+        for (std::size_t i = 0; i < dests.size(); ++i) {
+          last = st.log(storage::WalRecord::rm_next_seq(dests[i],
+                                                       next_seq_[dests[i]]));
+          if (lossy) {
+            frame.seq = frame.dest_seqs[i];
+            stage_scratch_.clear();
+            encode_message_into(Message{frame}, stage_scratch_);
+            last = st.log(storage::WalRecord::rm_stage(dests[i], frame.seq,
+                                                       stage_scratch_));
+          }
+        }
+        return last;
+      },
+      [](Context* c, const RmData& f) {
+        for (std::size_t i = 0; i < f.dest_nodes.size(); ++i) {
+          RmData copy = f;
+          copy.seq = f.dest_seqs[i];
+          c->send(f.dest_nodes[i], Message{std::move(copy)});
+        }
+      },
+      &ctx, frame);
+  // The staged copies carry the same gate, so the retransmit timer cannot
+  // leak a frame before its seq advance is durable either.
+  if (lossy) {
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      frame.seq = frame.dest_seqs[i];
+      unacked_.emplace(std::make_pair(dests[i], frame.seq), Staged{frame, lsn});
     }
   }
-  if (st != nullptr) st->commit();
 }
 
 void ReliableMulticast::on_start(Context& ctx) {
@@ -89,15 +96,14 @@ void ReliableMulticast::on_recover(Context& ctx) {
 void ReliableMulticast::arm_retransmit(Context& ctx) {
   if (timer_armed_) return;
   timer_armed_ = true;
-  ctx.set_timer(config_.retransmit_interval, [this, &ctx] {
+  ctx.set_timer(kRetransmitInterval, [this, &ctx] {
     timer_armed_ = false;
-    storage::NodeStorage* st = ctx.storage();
     std::uint64_t sent = 0;
     for (const auto& [key, staged] : unacked_) {
       // Honor the durability gate: retransmitting a frame whose seq
       // advance is still unsynced would externalize state a crash can
       // forget (see Staged::lsn).
-      if (st != nullptr && staged.lsn > st->durable_lsn()) continue;
+      if (!storage::is_durable(ctx.storage(), staged.lsn)) continue;
       RmData copy = staged.frame;
       copy.seq = key.second;
       ctx.send(key.first, Message{std::move(copy)});
@@ -121,7 +127,7 @@ bool ReliableMulticast::handle(Context& ctx, NodeId from, const Message& msg) {
         // The staged frame will never be retransmitted again; the settle
         // record lets recovery (and the next snapshot) drop it. Advisory,
         // so no gate and no forced commit.
-        st->log_rm_settle(from, ack->seq);
+        st->log(storage::WalRecord::rm_settle(from, ack->seq));
       }
     }
     return true;
@@ -141,6 +147,14 @@ void ReliableMulticast::deliver_frame(Context& ctx, const RmData& frame) {
 }
 
 void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
+  // The one handler that still asks whether storage is attached, because
+  // its ack means two things. Without storage it means "received": every
+  // arriving copy is acked at once, even one held back out of order. With
+  // storage it means "survives a crash": a fresh frame is acked only once
+  // the FIFO floor covering it is durable, after its delivery upcall, and a
+  // held-back one not at all. One gated path for both would move the
+  // volatile acks behind the upcalls and reorder the sends that the
+  // FastCastLossySeed42 delivery fingerprint pins.
   storage::NodeStorage* st = ctx.storage();
   auto& origin = origins_[data.origin];
 
@@ -153,8 +167,7 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
     // Durable mode acks only what a restart provably keeps: this frame is
     // below a logged next-expected floor, so ack once that floor commits
     // (usually already has). Fresh frames are acked on drain below.
-    st->when_durable(st->last_lsn(), [c = &ctx, from,
-                                      ack = RmAck{data.origin, data.seq}]() {
+    st->after_logged([c = &ctx, from, ack = RmAck{data.origin, data.seq}]() {
       c->send(from, Message{ack});
     });
   }
@@ -187,26 +200,22 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
   // Log the new FIFO floor and gate every externalization — relays, the
   // delivery upcall (whose downstream effects include sends), and the ack
   // for the just-arrived frame — on its commit. If the node dies first the
-  // closures are dropped, the origin retransmits, and replay re-drains.
+  // closure is dropped, the origin retransmits, and replay re-drains.
   // Note: `origin` may be invalidated by upcalls re-entering origins_, so
   // nothing below touches it.
-  const std::uint64_t next_expected =
-      origins_.at(data.origin).next_expected;
-  const storage::Lsn lsn = st->log_rm_progress(data.origin, next_expected);
-  const bool ack_arrived =
-      !config_.reliable_links && data.seq < next_expected;
-  for (RmData& frame : drained) {
-    st->when_durable(lsn, [this, c = &ctx, frame = std::move(frame)]() {
-      deliver_frame(*c, frame);
-    });
-  }
-  if (ack_arrived) {
-    st->when_durable(lsn, [c = &ctx, from,
-                           ack = RmAck{data.origin, data.seq}]() {
-      c->send(from, Message{ack});
-    });
-  }
-  st->commit();
+  const std::uint64_t next_expected = origins_.at(data.origin).next_expected;
+  const bool ack_arrived = !config_.reliable_links && data.seq < next_expected;
+  storage::log_then(
+      st,
+      [&](storage::NodeStorage& s) {
+        return s.log(storage::WalRecord::rm_progress(data.origin, next_expected));
+      },
+      [this, ack_arrived](Context* c, NodeId to, const RmAck& ack,
+                          const std::vector<RmData>& frames) {
+        for (const RmData& frame : frames) deliver_frame(*c, frame);
+        if (ack_arrived) c->send(to, Message{ack});
+      },
+      &ctx, from, RmAck{data.origin, data.seq}, std::move(drained));
 }
 
 void ReliableMulticast::relay(Context& ctx, const RmData& data) {

@@ -67,7 +67,7 @@ std::string FsyncPolicy::to_string() const {
 NodeStorage::NodeStorage(std::unique_ptr<StorageBackend> backend, Config config)
     : backend_(std::move(backend)),
       config_(config),
-      wal_(backend_.get(), config.segment_bytes),
+      wal_(backend_.get(), kSegmentBytes),
       snapshots_(backend_.get()) {
   // A fresh handle starts by recovering whatever the backend already holds
   // — an empty dir is just the degenerate cold-start case.
@@ -80,7 +80,7 @@ void NodeStorage::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
 }
 
-Lsn NodeStorage::append(const WalRecord& rec) {
+Lsn NodeStorage::log(const WalRecord& rec) {
   const Lsn lsn = wal_.append(rec);
   state_.apply(rec);
   ++records_since_snapshot_;
@@ -92,58 +92,6 @@ Lsn NodeStorage::append(const WalRecord& rec) {
     }
   }
   return lsn;
-}
-
-Lsn NodeStorage::log_promise(GroupId group, Ballot ballot) {
-  return append(WalRecord::promise(group, ballot));
-}
-
-Lsn NodeStorage::log_accept(GroupId group, InstanceId instance, Ballot ballot,
-                            std::span<const std::byte> value) {
-  return append(WalRecord::accept(group, instance, ballot, value));
-}
-
-Lsn NodeStorage::log_rm_next_seq(NodeId dest, std::uint64_t next) {
-  return append(WalRecord::rm_next_seq(dest, next));
-}
-
-Lsn NodeStorage::log_rm_stage(NodeId dest, std::uint64_t seq,
-                              std::span<const std::byte> frame) {
-  return append(WalRecord::rm_stage(dest, seq, frame));
-}
-
-Lsn NodeStorage::log_rm_settle(NodeId dest, std::uint64_t seq) {
-  return append(WalRecord::rm_settle(dest, seq));
-}
-
-Lsn NodeStorage::log_rm_progress(NodeId origin, std::uint64_t next_expected) {
-  return append(WalRecord::rm_progress(origin, next_expected));
-}
-
-Lsn NodeStorage::log_delivered(MsgId mid) {
-  return append(WalRecord::delivered(mid));
-}
-
-Lsn NodeStorage::log_body(MsgId mid, std::span<const std::byte> encoded) {
-  return append(WalRecord::body(mid, encoded));
-}
-
-Lsn NodeStorage::log_settled(GroupId group, InstanceId frontier,
-                             std::uint64_t clock) {
-  return append(WalRecord::settled(group, frontier, clock));
-}
-
-Lsn NodeStorage::log_prune_accepted(GroupId group, InstanceId floor) {
-  return append(WalRecord::prune_accepted(group, floor));
-}
-
-Lsn NodeStorage::log_repair_install(GroupId group, InstanceId from,
-                                    InstanceId through) {
-  return append(WalRecord::repair_install(group, from, through));
-}
-
-Lsn NodeStorage::log_drop_body(MsgId mid) {
-  return append(WalRecord::drop_body(mid));
 }
 
 void NodeStorage::when_durable(Lsn lsn, std::function<void()> fn) {

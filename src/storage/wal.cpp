@@ -111,12 +111,19 @@ WalRecord WalRecord::delivered(MsgId mid) {
   return rec;
 }
 
-WalRecord WalRecord::body(MsgId mid, std::span<const std::byte> encoded) {
+WalRecord WalRecord::body(const MulticastMessage& msg) {
   WalRecord rec;
   rec.type = WalRecordType::kBody;
-  rec.seq = mid;
-  rec.value.assign(encoded.begin(), encoded.end());
+  rec.seq = msg.id;
+  rec.value = encode_msg_batch({msg});
   return rec;
+}
+
+bool decode_body(std::span<const std::byte> value, MulticastMessage& out) {
+  std::vector<MulticastMessage> batch;
+  if (!decode_msg_batch(value, batch) || batch.size() != 1) return false;
+  out = std::move(batch.front());
+  return true;
 }
 
 WalRecord WalRecord::settled(GroupId g, InstanceId frontier, std::uint64_t clock) {

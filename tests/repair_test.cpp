@@ -403,8 +403,8 @@ TEST_F(CoordinatorFixture, AnnouncedSettledImmediateUnderFsyncAlways) {
   ctx.run_until(milliseconds(15));
   const auto anns = sent_to<WatermarkAnnounce>(1);
   ASSERT_FALSE(anns.empty());
-  // log_settled's commit() flushes before the announce is built, so the
-  // durability gate degenerates to the ungated behavior.
+  // The settled record's commit() flushes before the announce is built, so
+  // the durability gate degenerates to the ungated behavior.
   EXPECT_EQ(anns.back().settled, 12u);
   EXPECT_EQ(coord->durable_settled(), 12u);
 }
@@ -554,11 +554,12 @@ TEST(RepairDurability, SettledNeverOutrunsDeliveredAcrossTornCrashes) {
     const auto value = bytes_of("v");
     const InstanceId total = 30;
     for (InstanceId i = 0; i < total; ++i) {
-      st.log_accept(g, i, ballot(1, 0), value);
-      st.log_delivered(1000 + i);  // the delivery instance i caused
+      st.log(storage::WalRecord::accept(g, i, ballot(1, 0), value));
+      // The delivery instance i caused.
+      st.log(storage::WalRecord::delivered(1000 + i));
       st.commit();
       if ((i + 1) % 5 == 0) {
-        st.log_settled(g, i + 1, /*clock=*/i + 1);
+        st.log(storage::WalRecord::settled(g, i + 1, /*clock=*/i + 1));
         st.commit();
       }
     }
@@ -597,9 +598,9 @@ TEST(RepairDurability, CrashMidInstallRecoversPrefixNeverTorn) {
     for (InstanceId i = from; i < through; i += 8) {
       const InstanceId chunk_end = std::min<InstanceId>(i + 8, through);
       for (InstanceId j = i; j < chunk_end; ++j) {
-        st.log_accept(g, j, Ballot{}, value);
+        st.log(storage::WalRecord::accept(g, j, Ballot{}, value));
       }
-      st.log_repair_install(g, i, chunk_end);
+      st.log(storage::WalRecord::repair_install(g, i, chunk_end));
       st.commit();
     }
     st.on_crash(&torn);
@@ -625,9 +626,9 @@ TEST(RepairDurability, PruneRecordSurvivesRecovery) {
   storage::NodeStorage st(std::make_unique<storage::MemBackend>(), cfg);
   const GroupId g = 1;
   for (InstanceId i = 0; i < 20; ++i) {
-    st.log_accept(g, i, ballot(1, 0), bytes_of("v"));
+    st.log(storage::WalRecord::accept(g, i, ballot(1, 0), bytes_of("v")));
   }
-  st.log_prune_accepted(g, 12);
+  st.log(storage::WalRecord::prune_accepted(g, 12));
   st.flush();
 
   const storage::DurableState& durable = st.reset_and_recover();

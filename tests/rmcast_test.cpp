@@ -155,7 +155,6 @@ TEST(ReliableMulticast, TwoOriginsIndependentFifoStreams) {
 TEST(ReliableMulticast, LossyLinksStillDeliverWithRetransmission) {
   RmConfig cfg;
   cfg.reliable_links = false;
-  cfg.retransmit_interval = milliseconds(10);
   SimConfig sim_cfg;
   sim_cfg.drop_probability = 0.3;
   Fixture f(cfg, sim_cfg);

@@ -23,6 +23,16 @@ std::vector<std::byte> bytes_of(std::initializer_list<std::uint8_t> raw) {
 
 std::string segment_1() { return "wal-0000000000000001.seg"; }
 
+/// A kBody record around arbitrary bytes: the codec and the fold never look
+/// inside the value (WalRecord::body would encode a real message).
+WalRecord body_record(MsgId mid, std::vector<std::byte> value) {
+  WalRecord rec;
+  rec.type = WalRecordType::kBody;
+  rec.seq = mid;
+  rec.value = std::move(value);
+  return rec;
+}
+
 /// A scratch directory under the test's working directory, removed on exit.
 class TempDir {
  public:
@@ -126,7 +136,7 @@ std::vector<WalRecord> one_record_per_type() {
       WalRecord::rm_settle(3, 16),
       WalRecord::rm_progress(5, 8),
       WalRecord::delivered(make_msg_id(7, 42)),
-      WalRecord::body(make_msg_id(7, 43), payload),
+      body_record(make_msg_id(7, 43), payload),
       WalRecord::settled(2, 300, 77),
       WalRecord::prune_accepted(2, 128),
       WalRecord::repair_install(2, 64, 200),
@@ -217,6 +227,25 @@ TEST(WalWireFormat, DecodeRejectsBadTypeAndTrailingBytes) {
     WalRecord out;
     EXPECT_FALSE(decode_record(r, out));
   }
+}
+
+TEST(WalWireFormat, BodyRecordHoldsExactlyOneMessage) {
+  MulticastMessage m;
+  m.id = make_msg_id(7, 43);
+  m.sender = 7;
+  m.dst = {0, 2};
+  m.payload = "body";
+  const WalRecord rec = WalRecord::body(m);
+  EXPECT_EQ(rec.type, WalRecordType::kBody);
+  EXPECT_EQ(rec.seq, m.id);
+  EXPECT_EQ(rec.value, encode_msg_batch({m}));  // a one-element batch
+
+  MulticastMessage out;
+  ASSERT_TRUE(decode_body(rec.value, out));
+  EXPECT_EQ(out, m);
+  EXPECT_FALSE(decode_body({}, out));
+  EXPECT_FALSE(decode_body(encode_msg_batch({}), out));
+  EXPECT_FALSE(decode_body(encode_msg_batch({m, m}), out));
 }
 
 // ---------------------------------------------------------------------------
@@ -372,7 +401,7 @@ DurableState sample_state() {
   s.apply(WalRecord::rm_next_seq(4, 12));
   s.apply(WalRecord::rm_stage(4, 11, bytes_of({0x0A})));
   s.apply(WalRecord::rm_progress(9, 6));
-  s.apply(WalRecord::body(make_msg_id(2, 1), bytes_of({0x0B})));
+  s.apply(body_record(make_msg_id(2, 1), bytes_of({0x0B})));
   s.apply(WalRecord::delivered(make_msg_id(2, 2)));
   return s;
 }
@@ -386,7 +415,7 @@ DurableState full_state() {
   s.apply(WalRecord::promise(2, Ballot{1, 0}));
   s.apply(WalRecord::rm_next_seq(5, 200));
   s.apply(WalRecord::rm_stage(5, 199, bytes_of({0x0C, 0x0D})));
-  s.apply(WalRecord::body(make_msg_id(3, 1), bytes_of({})));
+  s.apply(body_record(make_msg_id(3, 1), bytes_of({})));
   return s;
 }
 
@@ -496,10 +525,10 @@ TEST(Snapshot, ApplySemantics) {
 
   // A delivered mid erases (and suppresses) its pending body.
   const MsgId mid = make_msg_id(1, 1);
-  s.apply(WalRecord::body(mid, bytes_of({0x0D})));
+  s.apply(body_record(mid, bytes_of({0x0D})));
   s.apply(WalRecord::delivered(mid));
   EXPECT_TRUE(s.bodies.empty());
-  s.apply(WalRecord::body(mid, bytes_of({0x0D})));  // replay after delivery
+  s.apply(body_record(mid, bytes_of({0x0D})));  // replay after delivery
   EXPECT_TRUE(s.bodies.empty());
   EXPECT_TRUE(s.delivered.contains(mid));
 }
@@ -522,14 +551,14 @@ TEST(NodeStorage, ColdStartIsEmptyAndAppendsFromOne) {
   EXPECT_TRUE(st.state().empty());
   EXPECT_EQ(st.last_lsn(), 0u);
   EXPECT_EQ(st.recovery_info().recoveries, 1u);
-  EXPECT_EQ(st.log_promise(1, Ballot{1, 0}), 1u);
+  EXPECT_EQ(st.log(WalRecord::promise(1, Ballot{1, 0})), 1u);
 }
 
 TEST(NodeStorage, AlwaysPolicyReleasesGateOnCommit) {
   NodeStorage st(std::make_unique<MemBackend>(),
                  config_with(FsyncPolicy::Mode::kAlways));
   bool ran = false;
-  const Lsn lsn = st.log_promise(1, Ballot{1, 0});
+  const Lsn lsn = st.log(WalRecord::promise(1, Ballot{1, 0}));
   st.when_durable(lsn, [&ran] { ran = true; });
   EXPECT_FALSE(ran);
   st.commit();
@@ -543,19 +572,21 @@ TEST(NodeStorage, BatchPolicyGatesUntilBatchFullOrFlush) {
   NodeStorage st(std::make_unique<MemBackend>(), cfg);
   int released = 0;
   for (int i = 1; i <= 2; ++i) {
-    const Lsn lsn = st.log_rm_next_seq(1, static_cast<std::uint64_t>(i));
+    const Lsn lsn =
+        st.log(WalRecord::rm_next_seq(1, static_cast<std::uint64_t>(i)));
     st.when_durable(lsn, [&released] { ++released; });
     st.commit();
   }
   EXPECT_EQ(released, 0);  // batch of 3 not full yet
   EXPECT_EQ(st.gated_count(), 2u);
-  const Lsn lsn = st.log_rm_next_seq(1, 3);
+  const Lsn lsn = st.log(WalRecord::rm_next_seq(1, 3));
   st.when_durable(lsn, [&released] { ++released; });
   st.commit();  // third record fills the batch
   EXPECT_EQ(released, 3);
 
   // A partial batch is released by the interval flush().
-  st.when_durable(st.log_rm_next_seq(1, 4), [&released] { ++released; });
+  st.when_durable(st.log(WalRecord::rm_next_seq(1, 4)),
+                  [&released] { ++released; });
   st.commit();
   EXPECT_EQ(released, 3);
   st.flush();
@@ -566,11 +597,11 @@ TEST(NodeStorage, CrashDropsUnsyncedRecordsAndGatedClosures) {
   NodeStorage::Config cfg = config_with(FsyncPolicy::Mode::kBatch);
   cfg.fsync.batch_records = 100;  // nothing auto-flushes
   NodeStorage st(std::make_unique<MemBackend>(), cfg);
-  st.log_promise(1, Ballot{1, 0});
+  st.log(WalRecord::promise(1, Ballot{1, 0}));
   st.flush();  // durable floor
 
   bool leaked = false;
-  const Lsn lsn = st.log_promise(1, Ballot{2, 0});
+  const Lsn lsn = st.log(WalRecord::promise(1, Ballot{2, 0}));
   st.when_durable(lsn, [&leaked] { leaked = true; });
   st.commit();                      // batched, not yet durable
   st.on_crash(/*torn_rng=*/nullptr);  // kill -9: keep no unsynced bytes
@@ -580,7 +611,7 @@ TEST(NodeStorage, CrashDropsUnsyncedRecordsAndGatedClosures) {
   EXPECT_EQ(recovered.groups.at(1).promised, (Ballot{1, 0}));
   EXPECT_FALSE(leaked);  // dropped closures never run
   // Appends resume after the surviving prefix, reusing the lost lsn.
-  EXPECT_EQ(st.log_promise(1, Ballot{3, 0}), 2u);
+  EXPECT_EQ(st.log(WalRecord::promise(1, Ballot{3, 0})), 2u);
 }
 
 TEST(NodeStorage, TornCrashSurvivesRecoveryAcrossSeeds) {
@@ -590,10 +621,10 @@ TEST(NodeStorage, TornCrashSurvivesRecoveryAcrossSeeds) {
     NodeStorage::Config cfg = config_with(FsyncPolicy::Mode::kBatch);
     cfg.fsync.batch_records = 1000;
     NodeStorage st(std::make_unique<MemBackend>(), cfg);
-    st.log_promise(1, Ballot{1, 0});
+    st.log(WalRecord::promise(1, Ballot{1, 0}));
     st.flush();
     for (std::uint32_t r = 2; r <= 10; ++r) {
-      st.log_promise(1, Ballot{r, 0});
+      st.log(WalRecord::promise(1, Ballot{r, 0}));
     }
     Rng torn(seed);
     st.on_crash(&torn);
@@ -630,15 +661,22 @@ TEST(NodeStorage, SnapshotPlusReplayEqualsFullReplay) {
                  config_with(FsyncPolicy::Mode::kAlways, /*snapshot_every=*/32));
   for (const WalRecord& rec : records) {
     switch (rec.type) {
-      case WalRecordType::kPromise: st.log_promise(rec.group, rec.ballot); break;
+      case WalRecordType::kPromise:
+        st.log(WalRecord::promise(rec.group, rec.ballot));
+        break;
       case WalRecordType::kAccept:
-        st.log_accept(rec.group, rec.instance, rec.ballot, rec.value);
+        st.log(
+            WalRecord::accept(rec.group, rec.instance, rec.ballot, rec.value));
         break;
-      case WalRecordType::kRmNextSeq: st.log_rm_next_seq(rec.node, rec.seq); break;
+      case WalRecordType::kRmNextSeq:
+        st.log(WalRecord::rm_next_seq(rec.node, rec.seq));
+        break;
       case WalRecordType::kRmProgress:
-        st.log_rm_progress(rec.node, rec.seq);
+        st.log(WalRecord::rm_progress(rec.node, rec.seq));
         break;
-      case WalRecordType::kDelivered: st.log_delivered(rec.seq); break;
+      case WalRecordType::kDelivered:
+        st.log(WalRecord::delivered(rec.seq));
+        break;
       default: FAIL();
     }
     st.commit();
@@ -659,7 +697,7 @@ TEST(NodeStorage, DropBodySnapshotPlusReplayEqualsFullReplay) {
   // whether recovery sees them in the log or inside a snapshot.
   std::vector<WalRecord> records;
   for (std::uint32_t i = 0; i < 120; ++i) {
-    records.push_back(WalRecord::body(make_msg_id(1, i), bytes_of({0x0B})));
+    records.push_back(body_record(make_msg_id(1, i), bytes_of({0x0B})));
     if (i >= 3) records.push_back(WalRecord::drop_body(make_msg_id(1, i - 3)));
     if (i % 10 == 0) records.push_back(WalRecord::delivered(make_msg_id(1, i)));
   }
@@ -671,9 +709,15 @@ TEST(NodeStorage, DropBodySnapshotPlusReplayEqualsFullReplay) {
                  config_with(FsyncPolicy::Mode::kAlways, /*snapshot_every=*/16));
   for (const WalRecord& rec : records) {
     switch (rec.type) {
-      case WalRecordType::kBody: st.log_body(rec.seq, rec.value); break;
-      case WalRecordType::kDropBody: st.log_drop_body(rec.seq); break;
-      case WalRecordType::kDelivered: st.log_delivered(rec.seq); break;
+      case WalRecordType::kBody:
+        st.log(body_record(rec.seq, rec.value));
+        break;
+      case WalRecordType::kDropBody:
+        st.log(WalRecord::drop_body(rec.seq));
+        break;
+      case WalRecordType::kDelivered:
+        st.log(WalRecord::delivered(rec.seq));
+        break;
       default: FAIL();
     }
     st.commit();
@@ -695,7 +739,7 @@ TEST(NodeStorage, NeverPolicySnapshotAheadOfLostLogStaysConsistent) {
   NodeStorage st(std::make_unique<MemBackend>(),
                  config_with(FsyncPolicy::Mode::kNever, /*snapshot_every=*/4));
   for (std::uint32_t r = 1; r <= 8; ++r) {
-    st.log_promise(1, Ballot{r, 0});
+    st.log(WalRecord::promise(1, Ballot{r, 0}));
     st.commit();
   }
   ASSERT_GT(st.snapshots_taken(), 0u);
@@ -704,7 +748,7 @@ TEST(NodeStorage, NeverPolicySnapshotAheadOfLostLogStaysConsistent) {
   const DurableState& recovered = st.reset_and_recover();
   // The snapshot is durable (write_atomic) even though the log is gone.
   EXPECT_GE(recovered.groups.at(1).promised.round, 4u);
-  const Lsn resume = st.log_promise(1, Ballot{100, 0});
+  const Lsn resume = st.log(WalRecord::promise(1, Ballot{100, 0}));
   EXPECT_GT(resume, st.recovery_info().snapshot_lsn);
   st.flush();
   const DurableState& again = st.reset_and_recover();
@@ -737,8 +781,8 @@ TEST(FileBackend, NodeStorageSurvivesProcessStyleReopen) {
     NodeStorage st(std::make_unique<FileBackend>(dir.path() + "/node-0"),
                    config_with(FsyncPolicy::Mode::kAlways, /*snapshot_every=*/16));
     for (std::uint32_t r = 1; r <= 40; ++r) {
-      st.log_promise(1, Ballot{r, 0});
-      st.log_delivered(make_msg_id(1, r));
+      st.log(WalRecord::promise(1, Ballot{r, 0}));
+      st.log(WalRecord::delivered(make_msg_id(1, r)));
       st.commit();
     }
     EXPECT_GT(st.snapshots_taken(), 0u);
@@ -749,7 +793,7 @@ TEST(FileBackend, NodeStorageSurvivesProcessStyleReopen) {
   EXPECT_EQ(st.state().groups.at(1).promised, (Ballot{40, 0}));
   EXPECT_EQ(st.state().delivered.size(), 40u);
   // The new handle appends past everything the old one wrote.
-  const Lsn lsn = st.log_promise(1, Ballot{41, 0});
+  const Lsn lsn = st.log(WalRecord::promise(1, Ballot{41, 0}));
   EXPECT_EQ(lsn, 81u);
   EXPECT_EQ(st.last_lsn(), 81u);
 }
@@ -760,8 +804,8 @@ TEST(FileBackend, TornTailOnDiskIsRepaired) {
   {
     NodeStorage st(std::make_unique<FileBackend>(node_dir),
                    config_with(FsyncPolicy::Mode::kAlways));
-    st.log_promise(1, Ballot{1, 0});
-    st.log_promise(1, Ballot{2, 0});
+    st.log(WalRecord::promise(1, Ballot{1, 0}));
+    st.log(WalRecord::promise(1, Ballot{2, 0}));
     st.commit();
   }
   {
@@ -773,7 +817,7 @@ TEST(FileBackend, TornTailOnDiskIsRepaired) {
                  config_with(FsyncPolicy::Mode::kAlways));
   EXPECT_TRUE(st.recovery_info().replay.torn_tail);
   EXPECT_EQ(st.state().groups.at(1).promised, (Ballot{2, 0}));
-  EXPECT_EQ(st.log_promise(1, Ballot{3, 0}), 3u);
+  EXPECT_EQ(st.log(WalRecord::promise(1, Ballot{3, 0})), 3u);
 }
 
 }  // namespace
