@@ -498,8 +498,8 @@ ExperimentConfig durable_fingerprint_config(Protocol proto) {
 TEST(DeliveryDeterminism, FastCastDurableBatchSeed42MatchesSeedTree) {
   const auto [count, hash] =
       delivery_fingerprint(durable_fingerprint_config(Protocol::kFastCast));
-  EXPECT_EQ(count, 396u);
-  EXPECT_EQ(hash, 4657607852208972295ULL);
+  EXPECT_EQ(count, 378u);
+  EXPECT_EQ(hash, 3366861839957446427ULL);
 }
 
 // Id mode logs every body on arrival and drops foreign ones from the

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fastcast/amcast/delivery_buffer.hpp"
 #include "fastcast/amcast/node.hpp"
 #include "fastcast/paxos/acceptor.hpp"
 #include "fastcast/paxos/proposer.hpp"
@@ -279,6 +280,33 @@ TEST_F(WalBeforeSend, RmcastAckAndDeliveryWaitForTheProgressRecord) {
   // Once durable, a duplicate is acked at once.
   rm.handle(ctx, 6, Message{frame(2)});
   EXPECT_EQ(take(), (std::vector<std::string>{sent(6, Message{RmAck{6, 2}})}));
+}
+
+TEST_F(WalBeforeSend, RmcastAckLeavesOnlyOnceTheStartBodyIsDurable) {
+  // The progress record the ack waits for makes a restart treat the frame
+  // as received, and the ack stops the origin's retransmissions. The body
+  // the START's upcall logs must therefore be durable by the time the ack
+  // leaves, or a crash loses the message for good.
+  DeliveryBuffer buffer;
+  ReliableMulticast rm(RmConfig{.reliable_links = false});
+  rm.set_deliver([&buffer](Context& c, NodeId, const AmcastPayload& p) {
+    buffer.store_body(c, std::get<AmStart>(p).msg);
+  });
+  const MsgId mid = make_msg_id(6, 1);
+  RmData frame;
+  frame.origin = 6;
+  frame.seq = 1;
+  frame.dst_groups = {0};
+  frame.dest_nodes = {0, 1, 2};
+  frame.dest_seqs = {1, 1, 1};
+  frame.inner = AmStart{message(mid, 6, {0})};
+
+  rm.handle(ctx, 6, Message{frame});
+  st.flush();  // opens the progress gate: upcall, then ack
+  EXPECT_EQ(take(), (std::vector<std::string>{sent(6, Message{RmAck{6, 1}})}));
+
+  st.on_crash(nullptr);  // every unsynced byte is lost
+  EXPECT_TRUE(st.reset_and_recover().bodies.contains(mid));
 }
 
 /// Delivers every MpBody it is handed: drives ReplicaNode's upcall.
