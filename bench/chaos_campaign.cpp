@@ -18,13 +18,13 @@
 /// sweep for CI; `--json <path>` emits machine-readable rows; `--seeds N`
 /// overrides the per-cell seed count.
 ///
-/// `--durable` arms the storage subsystem: every crash becomes a real
+/// Every campaign runs on the storage subsystem: each crash is a real
 /// process death (torn unsynced WAL bytes, replica rebuilt from snapshot +
 /// log replay) and each run ends with the wire-level acceptor
 /// no-regression check. `--wal-dir <path>` switches from the in-memory
 /// backend to file-backed WALs (one subdirectory per cell × seed so no
 /// state leaks between runs); `--fsync-policy always|batch[:N[:ms]]|never`
-/// picks the commit policy. Both imply `--durable`.
+/// picks the commit policy.
 
 #include <cstdio>
 #include <cstdlib>
@@ -236,7 +236,7 @@ struct CellResult {
   std::int64_t failover_p99_ns_max = 0;
   std::vector<std::uint64_t> failed_seeds;
 
-  // Durable-mode sums (zero when --durable is off).
+  // Storage sums.
   std::uint64_t replayed_records = 0;
   std::uint64_t storage_snapshots = 0;
   std::uint64_t durability_checks = 0;
@@ -267,7 +267,6 @@ int main(int argc, char** argv) {
 
   std::uint64_t seeds = 20;
   std::string json_path;
-  bool durable = false;
   bool lag = false;
   bool overload = false;
   std::string wal_dir;
@@ -275,7 +274,7 @@ int main(int argc, char** argv) {
   const auto usage = [argv] {
     std::fprintf(stderr,
                  "usage: %s [--smoke] [--lag] [--overload] [--seeds N]\n"
-                 "       [--json <path>] [--durable] [--wal-dir <path>]\n"
+                 "       [--json <path>] [--wal-dir <path>]\n"
                  "       [--fsync-policy <p>]\n"
                  "  --smoke         3 seeds per cell (CI)\n"
                  "  --lag           lag-recovery scenario family: one replica\n"
@@ -292,13 +291,10 @@ int main(int argc, char** argv) {
                  "  --seeds         seeds per protocol x intensity cell "
                  "(default 20)\n"
                  "  --json          machine-readable campaign results\n"
-                 "  --durable       WAL-backed crashes: real process death,\n"
-                 "                  recovery from snapshot + log replay,\n"
-                 "                  acceptor no-regression check per run\n"
-                 "  --wal-dir       file-backed WALs under <path> (implies\n"
-                 "                  --durable; default: in-memory backend)\n"
+                 "  --wal-dir       file-backed WALs under <path> (default:\n"
+                 "                  in-memory backend)\n"
                  "  --fsync-policy  always | batch[:N[:ms]] | never "
-                 "(implies --durable; default always)\n",
+                 "(default always)\n",
                  argv[0]);
   };
   for (int i = 1; i < argc; ++i) {
@@ -312,11 +308,8 @@ int main(int argc, char** argv) {
       seeds = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--durable") == 0) {
-      durable = true;
     } else if (std::strcmp(argv[i], "--wal-dir") == 0 && i + 1 < argc) {
       wal_dir = argv[++i];
-      durable = true;
     } else if (std::strcmp(argv[i], "--fsync-policy") == 0 && i + 1 < argc) {
       const auto parsed = storage::FsyncPolicy::parse(argv[++i]);
       if (!parsed) {
@@ -326,7 +319,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       fsync = *parsed;
-      durable = true;
     } else {
       usage();
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
@@ -390,16 +382,13 @@ int main(int argc, char** argv) {
           // race against unresolved timers.
           cfg.cooldown = milliseconds(900);
         }
-        if (durable) {
-          cfg.experiment.durability.durable = true;
-          cfg.experiment.durability.fsync = fsync;
-          if (!wal_dir.empty()) {
-            // One directory per cell × seed: file-backed state must never
-            // leak from one deterministic run into the next.
-            cfg.experiment.durability.wal_dir =
-                wal_dir + "/" + cell.protocol + "-" + cell.intensity +
-                "-seed" + std::to_string(seed);
-          }
+        cfg.experiment.durability.fsync = fsync;
+        if (!wal_dir.empty()) {
+          // One directory per cell × seed: file-backed state must never
+          // leak from one deterministic run into the next.
+          cfg.experiment.durability.wal_dir =
+              wal_dir + "/" + cell.protocol + "-" + cell.intensity + "-seed" +
+              std::to_string(seed);
         }
         const ChaosRunResult r = run_chaos(cfg);
         ++cell.seeds;
@@ -496,12 +485,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::string> headers = {"protocol",  "intensity", "safety",
-                                      "avail mean", "avail min", "crashes",
-                                      "failovers",  "failover p99"};
-  if (durable) {
-    headers.insert(headers.end(), {"replayed", "snapshots", "floor checks"});
-  }
+  std::vector<std::string> headers = {
+      "protocol",  "intensity", "safety",    "avail mean",
+      "avail min", "crashes",   "failovers", "failover p99",
+      "replayed",  "snapshots", "floor checks"};
   if (lag) {
     headers.insert(headers.end(), {"transfers", "installed", "prune wm"});
   }
@@ -512,12 +499,8 @@ int main(int argc, char** argv) {
   std::string title =
       std::string(lag ? "Lag-recovery" : overload ? "Overload" : "Chaos") +
       " campaigns (LAN, 2 groups, 4 clients; " + std::to_string(seeds) +
-      " seeds per cell";
-  if (durable) {
-    title += "; durable, fsync " + fsync.to_string() +
-             (wal_dir.empty() ? ", mem backend" : ", file backend");
-  }
-  title += ")";
+      " seeds per cell; durable, fsync " + fsync.to_string() +
+      (wal_dir.empty() ? ", mem backend)" : ", file backend)");
   Table table(title, headers);
   for (const CellResult& c : cells) {
     const double avail_mean =
@@ -532,12 +515,10 @@ int main(int argc, char** argv) {
         c.failover_p99_ns_max > 0
             ? fmt_double(static_cast<double>(c.failover_p99_ns_max) / 1e6, 1) +
                   " ms"
-            : "-"};
-    if (durable) {
-      row.push_back(std::to_string(c.replayed_records));
-      row.push_back(std::to_string(c.storage_snapshots));
-      row.push_back(std::to_string(c.durability_checks));
-    }
+            : "-",
+        std::to_string(c.replayed_records),
+        std::to_string(c.storage_snapshots),
+        std::to_string(c.durability_checks)};
     if (lag) {
       row.push_back(std::to_string(c.repair_completed) + "/" +
                     std::to_string(c.repair_transfers));
@@ -569,13 +550,10 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.kv("bench", "chaos_campaign");
     w.kv("seeds_per_cell", seeds);
-    w.kv("durable", durable);
     w.kv("lag", lag);
     w.kv("overload", overload);
-    if (durable) {
-      w.kv("fsync_policy", fsync.to_string());
-      w.kv("backend", wal_dir.empty() ? "mem" : "file");
-    }
+    w.kv("fsync_policy", fsync.to_string());
+    w.kv("backend", wal_dir.empty() ? "mem" : "file");
     w.key("cells").begin_array();
     for (const CellResult& c : cells) {
       w.begin_object();
@@ -590,11 +568,9 @@ int main(int argc, char** argv) {
       w.kv("recoveries", c.recoveries);
       w.kv("leader_failovers", c.failovers);
       w.kv("failover_p99_ns_max", c.failover_p99_ns_max);
-      if (durable) {
-        w.kv("replayed_records", c.replayed_records);
-        w.kv("storage_snapshots", c.storage_snapshots);
-        w.kv("durability_checks", c.durability_checks);
-      }
+      w.kv("replayed_records", c.replayed_records);
+      w.kv("storage_snapshots", c.storage_snapshots);
+      w.kv("durability_checks", c.durability_checks);
       if (lag) {
         w.kv("repair_transfers", c.repair_transfers);
         w.kv("repair_completed", c.repair_completed);

@@ -63,17 +63,6 @@ void MultiPaxosAmcast::on_start(Context& ctx) {
   cons_.on_start(ctx);
 }
 
-void MultiPaxosAmcast::on_recover(Context& ctx) {
-  ctx_ = &ctx;
-  cons_.on_recover(ctx);
-  // All timers died with the crash; re-arm what the current state needs.
-  batch_timer_armed_ = false;
-  pull_armed_ = false;
-  pull_backoff_ = 1;
-  flush(ctx);  // staged submissions from before the crash
-  drain_pending(ctx);  // restored bodies may unblock replayed records
-}
-
 bool MultiPaxosAmcast::handle(Context& ctx, NodeId from, const Message& msg) {
   if (cons_.handle(ctx, from, msg)) return true;
   if (const auto* submit = std::get_if<MpSubmit>(&msg.payload)) {

@@ -78,13 +78,6 @@ void ReplicaNode::on_start(Context& ctx) {
   arm_commit_tick(ctx);
 }
 
-void ReplicaNode::on_recover(Context& ctx) {
-  commit_tick_armed_ = false;
-  redeliver_in_doubt(ctx);
-  protocol_->on_recover(ctx);
-  arm_commit_tick(ctx);
-}
-
 void ReplicaNode::on_message(Context& ctx, NodeId from, const Message& msg) {
   if (!protocol_->handle(ctx, from, msg)) {
     FC_TRACE("node %u: unhandled %s from %u", ctx.self(), message_kind(msg), from);

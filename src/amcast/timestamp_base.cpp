@@ -102,22 +102,6 @@ void TimestampProtocolBase::on_start(Context& ctx) {
   arm_repropose(ctx);
 }
 
-void TimestampProtocolBase::on_recover(Context& ctx) {
-  decide_ctx_ = &ctx;
-  rm_.on_recover(ctx);
-  cons_.on_recover(ctx);
-  repropose_armed_ = false;
-  arm_repropose(ctx);
-  // Anything still unordered was in flight when we crashed; queue it for
-  // the next proposal round (the leader check inside flush() applies).
-  restage_all(ctx);
-  // Backstop for the restore path: if restored state ever produced a
-  // deliverable FINAL whose body arrived via restore_body (which cannot
-  // retry delivery itself — no Context there), release it now instead of
-  // waiting for the next unrelated add_entry.
-  buffer_.try_deliver(ctx);
-}
-
 bool TimestampProtocolBase::handle(Context& ctx, NodeId from, const Message& msg) {
   if (rm_.handle(ctx, from, msg)) return true;
   if (cons_.handle(ctx, from, msg)) return true;

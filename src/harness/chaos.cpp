@@ -101,27 +101,16 @@ ChaosRunResult run_chaos(const ChaosRunConfig& config) {
   ExperimentConfig cfg = config.experiment;
   cfg.seed = config.seed;
   cfg.observe = true;  // fault counters and the failover histogram
+  // Every crash is a real process death, rebuilt from snapshot + WAL.
+  cfg.durability.durable = true;
 
   Cluster cluster(cfg);
   auto& sim = cluster.simulator();
 
-  const bool durable = cfg.durability.durable;
-  // Decides how many unsynced bytes survive each kill (torn-write model).
-  Rng torn_rng(config.seed ^ 0x7042a11ULL);
   FloorMap floors;
-  if (durable) {
-    sim.set_send_observer([&floors](NodeId from, NodeId, const Message& msg) {
-      observe_externalized(floors, from, msg);
-    });
-    sim.set_crash_hook([&cluster, &torn_rng](NodeId node) {
-      cluster.storage()->node(node)->on_crash(&torn_rng);
-    });
-    // Real process death: the old replica object is discarded and a fresh
-    // one rebuilt from snapshot + surviving WAL.
-    sim.set_recovery_factory([&cluster](NodeId node) {
-      return cluster.rebuild_replica(node);
-    });
-  }
+  sim.set_send_observer([&floors](NodeId from, NodeId, const Message& msg) {
+    observe_externalized(floors, from, msg);
+  });
 
   sim::ChaosConfig faults = config.faults;
   if (faults.end <= faults.start) {
@@ -209,16 +198,14 @@ ChaosRunResult run_chaos(const ChaosRunConfig& config) {
     }
   }
 
-  if (durable) {
-    result.replayed_records = obs->metrics.counter_value("storage.replayed_records");
-    result.storage_snapshots = obs->metrics.counter_value("storage.snapshots");
-    // The no-regression floor check only holds under fsyncing policies:
-    // "never-for-sim" is documented as unsafe under crashes (it trades
-    // durability for speed in pure-throughput experiments).
-    if (cfg.durability.fsync.mode != storage::FsyncPolicy::Mode::kNever) {
-      result.durability_checks =
-          check_durability_floors(cluster, floors, result.report);
-    }
+  result.replayed_records = obs->metrics.counter_value("storage.replayed_records");
+  result.storage_snapshots = obs->metrics.counter_value("storage.snapshots");
+  // The no-regression floor check only holds under fsyncing policies:
+  // "never-for-sim" is documented as unsafe under crashes (it trades
+  // durability for speed in pure-throughput experiments).
+  if (cfg.durability.fsync.mode != storage::FsyncPolicy::Mode::kNever) {
+    result.durability_checks =
+        check_durability_floors(cluster, floors, result.report);
   }
   return result;
 }

@@ -9,7 +9,8 @@ namespace fastcast::harness {
 Cluster::Cluster(const ExperimentConfig& config)
     : config_(config),
       deployment_(build_deployment(config.topo)),
-      checker_(&deployment_.membership) {
+      checker_(&deployment_.membership),
+      torn_rng_(config.seed ^ 0x7042a11ULL) {
   sim::SimConfig sim_config;
   sim_config.seed = config_.seed;
   sim_config.cpu = config_.cpu_override.value_or(cpu_for(config_.topo.env));
@@ -34,6 +35,14 @@ Cluster::Cluster(const ExperimentConfig& config)
     sc.node.snapshot_every = config_.durability.snapshot_every;
     storage_ = std::make_unique<storage::StorageManager>(std::move(sc));
     if (obs_) storage_->set_metrics(&obs_->metrics);
+    // Every crash is a real process death: the victim's unsynced WAL bytes
+    // are lost (a torn prefix may survive) and recovery rebuilds the
+    // replica from its snapshot + surviving log.
+    sim_->set_crash_hook([this](NodeId node) {
+      storage_->node(node)->on_crash(&torn_rng_);
+    });
+    sim_->set_recovery_factory(
+        [this](NodeId node) { return rebuild_replica(node); });
   }
 
   // Replicas (including the ordering group's nodes for MultiPaxos).

@@ -34,19 +34,13 @@ class AtomicMulticast {
   using DeliverFn = std::function<void(Context&, const MulticastMessage&)>;
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
+  /// Arms the stack's timers. Also runs on an instance rebuilt after a
+  /// crash, once restore_durable has seeded it.
   virtual void on_start(Context& ctx) = 0;
-
-  /// Crash-recovery restart. Without storage the environment retains this
-  /// object, so protocol state survives in-memory — a simulation
-  /// convenience, not durability. With storage the environment builds a
-  /// fresh instance, calls restore_durable() with the recovered state, and
-  /// then this; either way all armed timers are gone, so implementations
-  /// reset their timer guards and re-arm. Default: run on_start again.
-  virtual void on_recover(Context& ctx) { on_start(ctx); }
 
   /// Installs WAL-recovered state into a freshly constructed instance
   /// (acceptor promises/accepted values, rmcast floors and staged frames,
-  /// the delivered set, persisted bodies). Called before on_recover, never
+  /// the delivered set, persisted bodies). Called before on_start, never
   /// after messages. Default: nothing durable to restore.
   virtual void restore_durable(const storage::DurableState& durable) {
     (void)durable;

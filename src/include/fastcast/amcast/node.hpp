@@ -14,12 +14,13 @@
 /// With storage attached, a-deliveries are the node's last externalization
 /// point: the delivered record is logged and the ack + observers gated on
 /// its commit, and under the batch fsync policy this node arms the
-/// interval timer that flushes partially filled batches. On start/recover
-/// the node re-externalizes every delivery recovery replayed from the WAL:
-/// a record can outlive its dropped gate closure (fsynced or kept by a
-/// torn tail), and without the redo the delivered-set dedup would hide
-/// that delivery from the application forever. Re-externalization is
-/// at-least-once; acks and observers dedup by message id.
+/// interval timer that flushes partially filled batches. On start (also
+/// of a node rebuilt after a crash) the node re-externalizes every
+/// delivery recovery replayed from the WAL: a record can outlive its
+/// dropped gate closure (fsynced or kept by a torn tail), and without the
+/// redo the delivered-set dedup would hide that delivery from the
+/// application forever. Re-externalization is at-least-once; acks and
+/// observers dedup by message id.
 
 namespace fastcast {
 
@@ -35,7 +36,6 @@ class ReplicaNode final : public Process {
   AtomicMulticast& protocol() { return *protocol_; }
 
   void on_start(Context& ctx) override;
-  void on_recover(Context& ctx) override;
   void on_message(Context& ctx, NodeId from, const Message& msg) override;
 
   std::uint64_t delivered_count() const { return delivered_count_; }

@@ -64,7 +64,6 @@ class TimestampProtocolBase : public AtomicMulticast {
   TimestampProtocolBase(Config config, NodeId self);
 
   void on_start(Context& ctx) override;
-  void on_recover(Context& ctx) override;
   void restore_durable(const storage::DurableState& durable) override;
   paxos::GroupConsensus* consensus_engine() override { return &cons_; }
   bool handle(Context& ctx, NodeId from, const Message& msg) override;

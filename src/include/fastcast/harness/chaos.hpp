@@ -31,11 +31,11 @@ struct ChaosRunConfig {
   Duration cooldown = milliseconds(500);
 };
 
-/// With experiment.durability.durable set, every crash becomes a real
-/// process death: the crash hook drops a torn suffix of the victim's
-/// unsynced WAL bytes, and recovery rebuilds the replica from scratch out
-/// of its snapshot + surviving log (Cluster::rebuild_replica). The run
-/// additionally tracks every promise/accept an acceptor externalizes and,
+/// Every run forces experiment.durability.durable on, so every crash is a
+/// real process death: the cluster's crash hook drops a torn suffix of the
+/// victim's unsynced WAL bytes, and recovery rebuilds the replica from
+/// scratch out of its snapshot + surviving log (Cluster::rebuild_replica).
+/// The run also tracks every promise/accept an acceptor externalizes and,
 /// at the end, re-reads each replica's durable state to assert none of
 /// them regressed — the WAL-before-send contract, checked from the wire.
 
@@ -53,7 +53,7 @@ struct ChaosRunResult {
   std::uint64_t leader_failovers = 0;
   std::int64_t failover_p99_ns = 0;  ///< paxos.failover_latency_ns p99
 
-  // Durable-mode extras (zero when durability is off).
+  // Storage accounting.
   std::uint64_t replayed_records = 0;   ///< WAL records replayed on recoveries
   std::uint64_t storage_snapshots = 0;  ///< snapshots taken across the run
   /// Per-(acceptor, group) no-regression checks performed against the

@@ -186,8 +186,10 @@ class Cluster {
   /// Crash-recovers one replica as a real process death would: discards the
   /// old protocol/ReplicaNode objects, re-reads the node's snapshot + WAL
   /// (storage::NodeStorage::reset_and_recover), and builds a fresh stack
-  /// seeded only from that durable state. The returned process is what the
-  /// simulator's recovery factory installs before on_recover runs.
+  /// seeded only from that durable state. With durability on, the
+  /// constructor installs it as the simulator's recovery factory (and a
+  /// crash hook that drops the victim's unsynced WAL bytes), so a run that
+  /// schedules crashes and recoveries needs durability on.
   std::shared_ptr<Process> rebuild_replica(NodeId node);
 
  private:
@@ -211,6 +213,8 @@ class Cluster {
   /// Outlives replica rebuilds so re-externalized in-doubt deliveries are
   /// observed exactly once.
   std::map<NodeId, std::set<MsgId>> seen_deliveries_;
+  /// Decides how many unsynced WAL bytes survive each crash (torn writes).
+  Rng torn_rng_;
 };
 
 /// The standard regimen: warm up, measure, optionally drain, check.

@@ -71,17 +71,11 @@ class TcpCluster {
   /// durable are dropped — exactly what a process death loses.
   void stop_node(NodeId node);
 
-  /// Restarts a stopped node with its retained Process object. Without
-  /// storage this over-approximates durability (all in-memory state
-  /// survives, as if everything had been on disk); with storage attached
-  /// prefer the replacement overload, which models a real process death.
-  /// Re-binds the listener and runs on_recover on the fresh node thread so
-  /// the process re-arms its timers and re-joins.
-  void restart_node(NodeId node);
-
-  /// Restarts a stopped node with a fresh Process (typically rebuilt from
-  /// storage::NodeStorage::reset_and_recover + restore_durable), discarding
-  /// the old object and every bit of state that was not on disk.
+  /// Restarts a stopped node as a real process death would: the old object
+  /// is discarded and `replacement` (typically rebuilt from
+  /// storage::NodeStorage::reset_and_recover + restore_durable) takes its
+  /// place. Re-binds the listener and runs on_recover on the fresh node
+  /// thread so the process arms its timers and re-joins.
   void restart_node(NodeId node, std::shared_ptr<Process> replacement);
 
   const Membership& membership() const { return config_.membership; }

@@ -47,25 +47,17 @@ class GroupConsensus {
 
   void on_start(Context& ctx);
 
-  /// Re-arms every sub-component's timer chain after a crash-recovery
-  /// restart. Recovery safety — promises made before the crash are still
-  /// honoured afterwards — rests on the acceptor's state surviving: either
-  /// the environment retained this object (sim convenience, no storage),
-  /// or a fresh instance got the WAL-recovered promises/accepted values
-  /// via restore_durable() first.
-  void on_recover(Context& ctx);
-
   /// Installs WAL-recovered acceptor state into a fresh instance (null =
   /// nothing was recovered for this group). Also marks the engine as
   /// storage-recovered: learner/proposer state is *not* durable, so
   /// catch-up polling is armed even over reliable links to relearn decided
   /// instances from the acceptors. When the recovered state shows a prior
   /// incarnation was active, the constructor's pre-promised stable
-  /// leadership no longer applies: on_start/on_recover re-run Phase 1 at a
-  /// round strictly above every ballot the dead incarnation can have
-  /// externalized (the promise quorum reveals its accepted instances, which
-  /// are re-driven before anything new — resuming at the old ballot with
-  /// reset instance tracking would overwrite slots peers already decided).
+  /// leadership no longer applies: on_start re-runs Phase 1 at a round
+  /// strictly above every ballot the dead incarnation can have externalized
+  /// (the promise quorum reveals its accepted instances, which are
+  /// re-driven before anything new — resuming at the old ballot with reset
+  /// instance tracking would overwrite slots peers already decided).
   void restore_durable(const storage::DurableState::GroupState* durable);
 
   /// Queues a value for some instance. Only acts on the current leader.

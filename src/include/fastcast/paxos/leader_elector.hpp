@@ -44,11 +44,6 @@ class LeaderElector {
 
   void on_start(Context& ctx);
 
-  /// Re-arms the heartbeat/monitor chains after a crash-recovery restart.
-  /// The generation bump invalidates any chain callback that survived the
-  /// restart (the TCP runtime keeps its timer map across restarts).
-  void on_recover(Context& ctx);
-
   bool handle(Context& ctx, NodeId from, const Message& msg);
 
  private:
@@ -65,7 +60,6 @@ class LeaderElector {
   /// while the first was still queued, doubling heartbeat traffic forever.
   bool hb_armed_ = false;
   bool monitor_armed_ = false;
-  std::uint64_t timer_generation_ = 0;  ///< bumped on recovery
 };
 
 }  // namespace fastcast::paxos

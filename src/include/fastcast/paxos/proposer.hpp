@@ -80,10 +80,6 @@ class Proposer {
   /// Starts the periodic retransmission timer (lossy links only).
   void on_start(Context& ctx);
 
-  /// Resets the retry-timer guard and re-arms after a crash-recovery
-  /// restart; ballot/window state is retained (durable-state model).
-  void on_recover(Context& ctx);
-
   /// Supplies the first undecided instance (from the learner) for Phase 1
   /// restarts after preemption.
   void set_first_undecided_provider(std::function<InstanceId()> fn) {

@@ -105,7 +105,6 @@ class RepairCoordinator {
   RepairCoordinator(Config config, Hooks hooks);
 
   void on_start(Context& ctx);
-  void on_recover(Context& ctx);
 
   /// Seeds the durable settled watermark from a WAL-recovered settled
   /// frontier, so a storage-recovered node announces it without waiting to

@@ -69,17 +69,9 @@ class ReliableMulticast {
   /// Starts the retransmission timer when links are lossy.
   void on_start(Context& ctx);
 
-  /// Re-arms the retransmission timer after a crash-recovery restart (the
-  /// armed guard refers to a timer that died with the crash). Without
-  /// storage the environment retains this object, so sender/receiver state
-  /// survives in-memory by fiat; with storage a fresh instance gets the
-  /// recovered sequence floors and staged frames via restore() first, so
-  /// FIFO sequencing stays intact across a real process death.
-  void on_recover(Context& ctx);
-
   /// Installs recovered durable state: per-destination sequence floors,
   /// still-unacked staged frames (resuming retransmission), and receiver
-  /// next-expected floors (resuming dedup). Call before on_recover.
+  /// next-expected floors (resuming dedup). Call before on_start.
   void restore(const storage::DurableState& durable);
 
   /// Returns true if the message was an rmcast frame (consumed).

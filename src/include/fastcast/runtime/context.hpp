@@ -107,18 +107,12 @@ class Process {
   /// Called once before any message, after the whole cluster is wired up.
   virtual void on_start(Context& ctx) { (void)ctx; }
 
-  /// Called when the environment restarts this node after a crash. Two
-  /// recovery modes exist:
-  ///   * Without storage (ctx.storage() == null) the environment retains
-  ///     this object across the restart, so in-memory protocol state
-  ///     survives by fiat — a simulation convenience, not real durability.
-  ///   * With storage, the environment may instead build a *fresh* process,
-  ///     hand it the recovered DurableState (see AtomicMulticast::
-  ///     restore_durable), and then call on_recover on it; anything not in
-  ///     the WAL is genuinely gone, as after a real kill -9.
-  /// In both modes every timer armed before the crash is gone, so
-  /// implementations must re-arm their timer chains here. Default: run
-  /// on_start again, which is correct for stateless processes.
+  /// Called when the environment restarts this node after a crash. The
+  /// restarted process is always a new object, built by the environment
+  /// from the node's durable state (see AtomicMulticast::restore_durable);
+  /// anything not in the WAL is gone, as after a real kill -9, and so is
+  /// every timer armed before the crash. A new object has no stale timer
+  /// guards to reset, so the default just runs on_start.
   virtual void on_recover(Context& ctx) { on_start(ctx); }
 
   /// Called for every message addressed to this node.

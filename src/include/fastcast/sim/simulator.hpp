@@ -92,27 +92,22 @@ class Simulator {
   void schedule_crash(NodeId node, Time at);
   bool is_crashed(NodeId node) const;
 
-  /// Restarts a crashed node. By default the Process object is retained, so
-  /// its in-memory state survives the restart — a simulation convenience
-  /// that over-approximates durability (a real kill -9 keeps nothing that
-  /// was not written to disk). Installing a recovery factory removes the
-  /// fiction: the old process is discarded and a fresh one (typically
-  /// rebuilt from WAL-recovered state) takes its place. Either way all
-  /// timers armed before the crash are gone; the node's on_recover hook
-  /// runs so it can re-arm them and re-join via catch-up/retransmission.
+  /// Restarts a crashed node as a real process death would: the old
+  /// Process object is discarded and the recovery factory's product
+  /// (typically rebuilt from the node's snapshot + WAL) takes its place and
+  /// runs on_recover. Every timer armed before the crash is gone. Recovering
+  /// without a factory, or with one that returns null, fails an FC_ASSERT.
   /// No-op if the node is not crashed.
   void recover(NodeId node);
   void schedule_recover(NodeId node, Time at);
 
   /// Called synchronously inside crash(), after the node's timers/inbox are
-  /// discarded. The durable chaos harness uses it to drop the node's
-  /// unsynced storage bytes (emulating what kill -9 loses).
+  /// discarded. The durable harness uses it to drop the node's unsynced
+  /// storage bytes (emulating what kill -9 loses).
   using CrashHook = std::function<void(NodeId)>;
   void set_crash_hook(CrashHook hook) { crash_hook_ = std::move(hook); }
 
-  /// When set, recover() replaces the node's Process with the factory's
-  /// product (a real process death: no in-memory state survives) before
-  /// running on_recover. Returning null keeps the existing process.
+  /// Builds the process that replaces a crashed node on recover().
   using RecoveryFactory = std::function<std::shared_ptr<Process>(NodeId)>;
   void set_recovery_factory(RecoveryFactory factory) {
     recovery_factory_ = std::move(factory);

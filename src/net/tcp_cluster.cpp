@@ -74,7 +74,7 @@ class TcpCluster::NodeRuntime final : public Context {
     active_.store(true, std::memory_order_relaxed);
     if (recovering) {
       // Crash semantics: timers armed before the kill are gone; the
-      // process re-arms what it needs from on_recover.
+      // rebuilt process arms what it needs from on_recover.
       timers_.clear();
       process_->on_recover(*this);
     } else {
@@ -171,14 +171,13 @@ void TcpCluster::stop_node(NodeId node) {
   }
 }
 
-void TcpCluster::restart_node(NodeId node) { restart_node(node, nullptr); }
-
 void TcpCluster::restart_node(NodeId node, std::shared_ptr<Process> replacement) {
   FC_ASSERT(node < nodes_.size());
   FC_ASSERT_MSG(running_.load(), "cluster not running");
   FC_ASSERT_MSG(!threads_[node].joinable(), "node still running");
+  FC_ASSERT_MSG(replacement != nullptr, "restart needs a rebuilt process");
   NodeRuntime* n = nodes_[node].get();
-  if (replacement != nullptr) n->set_process(std::move(replacement));
+  n->set_process(std::move(replacement));
   n->listen();  // SO_REUSEADDR: rebinding the same port succeeds promptly
   const Time epoch = n->epoch();
   threads_[node] = std::thread([this, n, epoch] {

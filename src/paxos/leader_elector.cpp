@@ -21,22 +21,10 @@ void LeaderElector::on_start(Context& ctx) {
   arm_monitor(ctx);
 }
 
-void LeaderElector::on_recover(Context& ctx) {
-  // Timers died with the crash; the armed flags would otherwise keep both
-  // chains permanently disarmed. The generation bump kills chain callbacks
-  // that survive the restart in environments with persistent timer maps.
-  ++timer_generation_;
-  hb_armed_ = false;
-  monitor_armed_ = false;
-  on_start(ctx);
-}
-
 void LeaderElector::arm_heartbeat(Context& ctx) {
   if (hb_armed_) return;  // exactly one chain, even across re-promotions
   hb_armed_ = true;
-  const std::uint64_t gen = timer_generation_;
-  ctx.set_timer(config_.heartbeat_interval, [this, &ctx, gen] {
-    if (gen != timer_generation_) return;  // stale pre-recovery chain
+  ctx.set_timer(config_.heartbeat_interval, [this, &ctx] {
     hb_armed_ = false;
     if (!is_self_leader(ctx)) return;  // demoted meanwhile; chain ends here
     FdHeartbeat hb{config_.group, ctx.self(), epoch_};
@@ -50,9 +38,7 @@ void LeaderElector::arm_heartbeat(Context& ctx) {
 void LeaderElector::arm_monitor(Context& ctx) {
   if (monitor_armed_) return;
   monitor_armed_ = true;
-  const std::uint64_t gen = timer_generation_;
-  ctx.set_timer(config_.timeout, [this, &ctx, gen] {
-    if (gen != timer_generation_) return;
+  ctx.set_timer(config_.timeout, [this, &ctx] {
     monitor_armed_ = false;
     if (!is_self_leader(ctx) && ctx.now() - last_heard_ >= config_.timeout) {
       if (auto* o = ctx.obs()) o->metrics.counter("paxos.suspicions").inc();

@@ -140,11 +140,6 @@ void Proposer::on_start(Context& ctx) {
   if (!config_.reliable_links) arm_retry(ctx);
 }
 
-void Proposer::on_recover(Context& ctx) {
-  retry_armed_ = false;
-  on_start(ctx);
-}
-
 void Proposer::arm_retry(Context& ctx) {
   if (config_.reliable_links || retry_armed_) return;
   retry_armed_ = true;

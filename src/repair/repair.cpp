@@ -50,20 +50,6 @@ bool RepairCoordinator::is_member(NodeId n) const {
 
 void RepairCoordinator::on_start(Context& ctx) { arm_announce(ctx); }
 
-void RepairCoordinator::on_recover(Context& ctx) {
-  // Timers died with the old incarnation; an in-flight transfer is simply
-  // abandoned (already-installed entries stay — they went through the
-  // normal decide path) and lag detection starts it over if still needed.
-  announce_armed_ = false;
-  transfer_active_ = false;
-  transfer_server_ = kInvalidNode;
-  // Settled records logged but never flushed died with the crash (their
-  // gated closures were dropped); fall back to the durable watermark
-  // so the next announce re-logs anything above it.
-  logged_settled_ = durable_settled_;
-  arm_announce(ctx);
-}
-
 void RepairCoordinator::restore_durable_settled(InstanceId settled) {
   // WAL-recovered, so durable by definition; no need to re-log it.
   durable_settled_ = std::max(durable_settled_, settled);

@@ -88,11 +88,6 @@ void ReliableMulticast::on_start(Context& ctx) {
   if (!config_.reliable_links) arm_retransmit(ctx);
 }
 
-void ReliableMulticast::on_recover(Context& ctx) {
-  timer_armed_ = false;
-  on_start(ctx);
-}
-
 void ReliableMulticast::arm_retransmit(Context& ctx) {
   if (timer_armed_) return;
   timer_armed_ = true;

@@ -188,17 +188,15 @@ void Simulator::recover(NodeId node) {
   FC_ASSERT(node < nodes_.size());
   auto& n = *nodes_[node];
   if (!n.crashed) return;
+  FC_ASSERT_MSG(recovery_factory_ != nullptr, "recover needs a factory");
   n.crashed = false;
   n.busy_until = now_;
   n.inbox.clear();
   if (c_recoveries_) c_recoveries_->inc();
-  if (recovery_factory_) {
-    // Real process death: the retained object (and every bit of state not
-    // recovered from storage by the factory) is discarded.
-    if (std::shared_ptr<Process> fresh = recovery_factory_(node)) {
-      n.process = std::move(fresh);
-    }
-  }
+  // Real process death: the old object (and every bit of state not
+  // recovered from storage by the factory) is discarded.
+  n.process = recovery_factory_(node);
+  FC_ASSERT_MSG(n.process != nullptr, "recovery factory built no process");
   NodeState* np = &n;
   run_handler(n, now_, [np] { np->process->on_recover(*np->ctx); });
 }

@@ -116,6 +116,7 @@ TEST(Faults, CrashedFollowerRecoversAndRunContinues) {
     auto cfg = faulty_config(proto);
     cfg.drop_probability = 0.01;  // catch-up/retransmission machinery on
     cfg.observe = true;
+    cfg.durability.durable = true;  // recovery rebuilds from the WAL
     cfg.dst_factory = same_dst_for_all(random_subset(2, 2));
     Cluster cluster(cfg);
     // Node 1 (follower of group 0) is down between 50 and 150 ms, then
@@ -142,6 +143,7 @@ TEST(Faults, CrashedLeaderRecoversAndRejoinsAsFollower) {
     cfg.heartbeats = true;        // failover to node 1 while 0 is down
     cfg.drop_probability = 0.01;  // recovery catch-up machinery on
     cfg.observe = true;
+    cfg.durability.durable = true;  // recovery rebuilds from the WAL
     cfg.dst_factory = same_dst_for_all(random_subset(2, 2));
     Cluster cluster(cfg);
     cluster.simulator().schedule_crash(0, milliseconds(60));

@@ -194,12 +194,11 @@ TEST_P(Lifecycle, DurableRestartReplaysWithoutRedelivery) {
   sim::Simulator& sim = cluster.simulator();
   // Follower 1 dies as a real process would and is rebuilt from its WAL;
   // the consensus replay re-decides every SET-HARD it applied before.
+  // Scheduled first, the count runs just before the crash at the same time.
   std::uint64_t before_crash = 0;
-  sim.set_crash_hook([&](NodeId n) {
-    before_crash = cluster.replica(n).delivered_count();
-    cluster.storage()->node(n)->on_crash(nullptr);
+  sim.schedule_at(milliseconds(40), [&] {
+    before_crash = cluster.replica(1).delivered_count();
   });
-  sim.set_recovery_factory([&](NodeId n) { return cluster.rebuild_replica(n); });
   sim.schedule_crash(1, milliseconds(40));
   sim.schedule_recover(1, milliseconds(60));
   cluster.start();

@@ -290,120 +290,6 @@ TEST(TcpCluster, RunsFastCastOverRealSockets) {
   EXPECT_EQ(report.delivery_count, 20u * 6u);
 }
 
-/// A node is killed mid-run and restarted; no client message may be lost
-/// (the acceptance bar for the transport retry queues + cluster recovery).
-TEST(TcpCluster, SurvivesKilledAndRestartedNode) {
-  Membership membership;
-  membership.add_group(3, {0, 0, 0});
-  membership.add_group(3, {0, 0, 0});
-  const NodeId client_node = membership.add_client(0);
-  const NodeId victim = 4;  // follower of group 1 (leader is node 3)
-
-  TcpCluster::Config cfg;
-  cfg.membership = membership;
-  cfg.base_port = next_port_block();
-  TcpCluster cluster(std::move(cfg));
-
-  std::mutex mu;
-  Checker checker(&membership);
-  std::atomic<int> completions{0};
-
-  for (NodeId n : membership.all_replicas()) {
-    const GroupId g = membership.group_of(n);
-    TimestampProtocolBase::Config pc;
-    pc.group = g;
-    pc.consensus.group = g;
-    pc.consensus.members = membership.members(g);
-    // Lossy-link machinery on: the victim's reconnect window behaves like
-    // loss, and the restarted node relies on retransmission + catch-up.
-    pc.consensus.reliable_links = false;
-    auto node = std::make_shared<ReplicaNode>(std::make_shared<FastCast>(pc, n));
-    node->add_observer([&mu, &checker](Context& ctx, const MulticastMessage& m) {
-      std::lock_guard<std::mutex> lock(mu);
-      checker.note_delivery(ctx.self(), m.id);
-    });
-    cluster.add_process(n, node);
-  }
-
-  // Closed-loop client pacing one global message per ~5ms so the kill and
-  // the restart both land while traffic is in flight.
-  class PacedClient : public Process {
-   public:
-    PacedClient(std::mutex* mu, Checker* checker, std::atomic<int>* completions)
-        : mu_(mu), checker_(checker), completions_(completions) {}
-    void on_start(Context& ctx) override {
-      stub_.on_start(ctx);
-      send_next(ctx);
-    }
-    void on_message(Context& ctx, NodeId from, const Message& msg) override {
-      if (const auto* ack = std::get_if<AmAck>(&msg.payload)) {
-        if (ack->mid == outstanding_) {
-          completions_->fetch_add(1);
-          outstanding_ = 0;
-          if (next_seq_ < 30) {
-            ctx.set_timer(milliseconds(5), [this, &ctx] { send_next(ctx); });
-          }
-        }
-        return;
-      }
-      stub_.handle(ctx, from, msg);
-    }
-
-   private:
-    void send_next(Context& ctx) {
-      MulticastMessage m;
-      m.id = make_msg_id(ctx.self(), next_seq_++);
-      m.sender = ctx.self();
-      m.dst = {0, 1};
-      m.payload = "post";
-      outstanding_ = m.id;
-      {
-        std::lock_guard<std::mutex> lock(*mu_);
-        checker_->note_multicast(m);
-      }
-      stub_.amulticast(ctx, m);
-    }
-    GenuineClientStub stub_;
-    std::mutex* mu_;
-    Checker* checker_;
-    std::atomic<int>* completions_;
-    std::uint32_t next_seq_ = 0;
-    MsgId outstanding_ = 0;
-  };
-  cluster.add_process(
-      client_node, std::make_shared<PacedClient>(&mu, &checker, &completions));
-
-  cluster.start();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  bool killed = false;
-  bool restarted = false;
-  while (completions.load() < 30 && std::chrono::steady_clock::now() < deadline) {
-    if (!killed && completions.load() >= 8) {
-      cluster.stop_node(victim);
-      killed = true;
-    }
-    if (killed && !restarted && completions.load() >= 18) {
-      cluster.restart_node(victim);
-      restarted = true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Let the restarted node finish catching up before tearing down.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  cluster.stop();
-
-  EXPECT_TRUE(killed);
-  EXPECT_TRUE(restarted);
-  // Zero lost client messages across the kill/restart.
-  EXPECT_EQ(completions.load(), 30);
-  std::lock_guard<std::mutex> lock(mu);
-  // Safety-only: the restarted node may still be missing tail deliveries.
-  const auto report = checker.check(/*quiesced=*/false, Checker::Level::kFull);
-  EXPECT_TRUE(report.ok) << (report.violations.empty() ? ""
-                                                       : report.violations[0]);
-}
-
 TEST(TcpTransport, RebindsSamePortImmediatelyAfterDestroy) {
   // A restarted node rebinds its port at once: the destructor must close
   // the listen socket synchronously, since SO_REUSEADDR cannot override a

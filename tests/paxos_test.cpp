@@ -7,6 +7,7 @@
 
 #include "fastcast/paxos/group_consensus.hpp"
 #include "fastcast/sim/simulator.hpp"
+#include "fastcast/storage/storage.hpp"
 
 namespace fastcast::paxos {
 namespace {
@@ -39,7 +40,6 @@ class ConsensusNode : public Process {
     cons.on_start(ctx);
     if (start_hook) start_hook(ctx);
   }
-  void on_recover(Context& ctx) override { cons.on_recover(ctx); }
   void on_message(Context& ctx, NodeId from, const Message& msg) override {
     cons.handle(ctx, from, msg);
   }
@@ -57,7 +57,6 @@ struct Fixture {
     sim = std::make_unique<Simulator>(
         membership, std::make_unique<ConstantLatency>(milliseconds(1), 0.05),
         sim_cfg);
-    GroupConsensus::Config cfg;
     cfg.group = 0;
     cfg.members = membership.members(0);
     cfg.reliable_links = sim_cfg.drop_probability == 0.0;
@@ -80,8 +79,34 @@ struct Fixture {
     }
   }
 
+  /// Gives every node a WAL (in-memory backend) and makes recovery rebuild
+  /// a crashed node as a new ConsensusNode seeded only from it, as a real
+  /// process death would.
+  void rebuild_from_storage() {
+    storage = std::make_unique<storage::StorageManager>(
+        storage::StorageManager::Config{});
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto n = static_cast<NodeId>(i);
+      sim->set_node_storage(n, storage->node(n));
+    }
+    sim->set_crash_hook(
+        [this](NodeId n) { storage->node(n)->on_crash(nullptr); });
+    sim->set_recovery_factory([this](NodeId n) {
+      const storage::DurableState& durable =
+          storage->node(n)->reset_and_recover();
+      auto fresh = std::make_shared<ConsensusNode>(cfg, n);
+      const auto it = durable.groups.find(cfg.group);
+      fresh->cons.restore_durable(it == durable.groups.end() ? nullptr
+                                                             : &it->second);
+      nodes[n] = fresh;
+      return fresh;
+    });
+  }
+
   Membership membership;
+  GroupConsensus::Config cfg;
   std::unique_ptr<Simulator> sim;
+  std::unique_ptr<storage::StorageManager> storage;
   std::vector<std::shared_ptr<ConsensusNode>> nodes;
 };
 
@@ -481,6 +506,7 @@ TEST(GroupConsensus, CrashedFollowerRecoversAndCatchesUp) {
   SimConfig sim_cfg;
   sim_cfg.drop_probability = 0.05;  // lossy: retry + catch-up machinery on
   Fixture f(sim_cfg);
+  f.rebuild_from_storage();
   ConsensusNode* n0 = f.nodes[0].get();  // raw: a shared_ptr capture in the
   // node's own start_hook would be a refcount cycle (the fixture owns it)
   f.nodes[0]->start_hook = [n0](Context& ctx) {
@@ -503,6 +529,7 @@ TEST(GroupConsensus, RecoveredLeaderRejoinsAsFollower) {
   SimConfig sim_cfg;
   sim_cfg.drop_probability = 0.05;
   Fixture f(sim_cfg, /*heartbeats=*/true);
+  f.rebuild_from_storage();
   ConsensusNode* n0 = f.nodes[0].get();
   ConsensusNode* n1 = f.nodes[1].get();
   f.nodes[0]->start_hook = [n0](Context& ctx) {

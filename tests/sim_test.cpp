@@ -332,64 +332,98 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_NE(std::get<1>(a), std::get<1>(c));  // different seed, different jitter
 }
 
+/// Lifecycle calls and ticks of one node, shared by every process object
+/// the node runs: the original and each one rebuilt after a crash.
+struct Lifecycle {
+  int starts = 0;
+  int recovers = 0;
+  std::vector<Time> ticks;
+};
+
 /// Process that arms a repeating tick and records lifecycle calls, for the
 /// crash-recovery semantics tests.
 class TickingProcess : public Process {
  public:
+  explicit TickingProcess(std::shared_ptr<Lifecycle> log)
+      : log_(std::move(log)) {}
   void on_start(Context& ctx) override {
-    ++starts;
+    ++log_->starts;
     arm(ctx);
   }
   void on_recover(Context& ctx) override {
-    ++recovers;
+    ++log_->recovers;
     arm(ctx);
   }
   void on_message(Context&, NodeId, const Message&) override {}
 
-  int starts = 0;
-  int recovers = 0;
-  std::vector<Time> ticks;
-
  private:
   void arm(Context& ctx) {
     ctx.set_timer(milliseconds(10), [this, &ctx] {
-      ticks.push_back(ctx.now());
+      log_->ticks.push_back(ctx.now());
       arm(ctx);
     });
   }
+
+  std::shared_ptr<Lifecycle> log_;
 };
+
+/// Recovery rebuilds a node as a new TickingProcess on the node's log.
+void rebuild_ticking(Simulator& sim,
+                     const std::vector<std::shared_ptr<Lifecycle>>& logs) {
+  sim.set_recovery_factory([logs](NodeId n) -> std::shared_ptr<Process> {
+    return std::make_shared<TickingProcess>(logs[n]);
+  });
+}
 
 TEST(Simulator, RecoverRunsOnRecoverAndResumesTimers) {
   SimConfig cfg;
   Simulator sim(two_nodes(), std::make_unique<ConstantLatency>(1), cfg);
-  auto p = std::make_shared<TickingProcess>();
-  sim.add_process(0, p);
+  auto log = std::make_shared<Lifecycle>();
+  auto original = std::make_shared<TickingProcess>(log);
+  std::weak_ptr<TickingProcess> alive = original;
+  sim.add_process(0, std::move(original));
   sim.add_process(1, std::make_shared<Recorder>());
+  rebuild_ticking(sim, {log, nullptr});
   sim.schedule_crash(0, milliseconds(35));
   sim.schedule_recover(0, milliseconds(100));
   sim.start();
   sim.run_until(milliseconds(165));
 
-  EXPECT_EQ(p->starts, 1);
-  EXPECT_EQ(p->recovers, 1);
+  EXPECT_EQ(log->starts, 1);
+  EXPECT_EQ(log->recovers, 1);
   EXPECT_FALSE(sim.is_crashed(0));
-  // Ticks at 10,20,30 — crash kills the armed timer — then the chain
-  // resumes relative to the recovery time: 110,120,...,160.
-  ASSERT_EQ(p->ticks.size(), 9u);
-  EXPECT_EQ(p->ticks[2], milliseconds(30));
-  EXPECT_EQ(p->ticks[3], milliseconds(110));
-  EXPECT_EQ(p->ticks.back(), milliseconds(160));
+  // The crashed object is gone; a rebuilt one took its place.
+  EXPECT_TRUE(alive.expired());
+  // Ticks at 10,20,30 — crash kills the armed timer — then the new
+  // process's chain starts relative to the recovery time: 110,120,...,160.
+  ASSERT_EQ(log->ticks.size(), 9u);
+  EXPECT_EQ(log->ticks[2], milliseconds(30));
+  EXPECT_EQ(log->ticks[3], milliseconds(110));
+  EXPECT_EQ(log->ticks.back(), milliseconds(160));
+}
+
+TEST(SimulatorDeathTest, RecoverWithoutFactoryAsserts) {
+  SimConfig cfg;
+  Simulator sim(two_nodes(), std::make_unique<ConstantLatency>(1), cfg);
+  sim.add_process(
+      0, std::make_shared<TickingProcess>(std::make_shared<Lifecycle>()));
+  sim.add_process(1, std::make_shared<Recorder>());
+  sim.start();
+  sim.crash(0);
+  // A restart is always a rebuilt process; there is no object to keep.
+  EXPECT_DEATH(sim.recover(0), "recover needs a factory");
 }
 
 TEST(Simulator, RecoverIsNoOpOnLiveNodeAndCrashIsIdempotent) {
   SimConfig cfg;
   Simulator sim(two_nodes(), std::make_unique<ConstantLatency>(1), cfg);
-  auto p = std::make_shared<TickingProcess>();
-  sim.add_process(0, p);
+  auto log = std::make_shared<Lifecycle>();
+  sim.add_process(0, std::make_shared<TickingProcess>(log));
   sim.add_process(1, std::make_shared<Recorder>());
+  rebuild_ticking(sim, {log, nullptr});
   sim.start();
   sim.recover(0);  // not crashed: must not re-run on_recover
-  EXPECT_EQ(p->recovers, 0);
+  EXPECT_EQ(log->recovers, 0);
   sim.crash(0);
   sim.crash(0);  // second crash is a no-op
   EXPECT_TRUE(sim.is_crashed(0));
@@ -484,12 +518,12 @@ TEST(ChaosSchedule, ApplyInjectsCrashAndRecovery) {
   Membership m = chaos_membership();
   SimConfig cfg;
   Simulator sim(m, std::make_unique<ConstantLatency>(1), cfg);
-  std::vector<std::shared_ptr<TickingProcess>> procs;
+  std::vector<std::shared_ptr<Lifecycle>> logs;
   for (NodeId n = 0; n < m.node_count(); ++n) {
-    auto p = std::make_shared<TickingProcess>();
-    procs.push_back(p);
-    sim.add_process(n, p);
+    logs.push_back(std::make_shared<Lifecycle>());
+    sim.add_process(n, std::make_shared<TickingProcess>(logs.back()));
   }
+  rebuild_ticking(sim, logs);
   ChaosConfig ccfg = chaos_config();
   ccfg.drop_bursts = 0;
   ccfg.partitions = 0;
@@ -499,7 +533,7 @@ TEST(ChaosSchedule, ApplyInjectsCrashAndRecovery) {
   sim.start();
   sim.run_until(milliseconds(600));
   int recovered = 0;
-  for (const auto& p : procs) recovered += p->recovers;
+  for (const auto& log : logs) recovered += log->recovers;
   EXPECT_GT(recovered, 0);
   for (NodeId n = 0; n < m.node_count(); ++n) {
     EXPECT_FALSE(sim.is_crashed(n)) << "node " << n;
