@@ -34,6 +34,20 @@ TEST(MultiPaxosAmcast, DeliversWithAllProperties) {
   EXPECT_GT(r.report.delivery_count, 0u);
 }
 
+TEST(MultiPaxosAmcast, HeartbeatsCauseNoFailoverWithoutFaults) {
+  // Only the ordering group's members exchange heartbeats; a learner
+  // replica outside it must not suspect a leader it never hears from.
+  auto cfg = mp_config(2, 4);
+  cfg.dst_factory = same_dst_for_all(random_subset(2, 2));
+  cfg.heartbeats = true;
+  cfg.observe = true;
+  const auto r = run_experiment(cfg);
+  EXPECT_TRUE(r.report.ok) << r.report.violations[0];
+  EXPECT_GT(r.report.delivery_count, 0u);
+  ASSERT_NE(r.obs, nullptr);
+  EXPECT_EQ(r.obs->metrics.counter_value("paxos.leader_failovers"), 0u);
+}
+
 TEST(MultiPaxosAmcast, FiltersDeliveriesByDestinationGroup) {
   auto cfg = mp_config(2, 2);
   cfg.dst_factory = [](std::size_t i) -> DstPicker {
