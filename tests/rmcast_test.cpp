@@ -144,8 +144,12 @@ TEST(ReliableMulticast, TwoOriginsIndependentFifoStreams) {
   for (NodeId n = 3; n < 6; ++n) {
     std::uint32_t next0 = 0, next6 = 0;
     for (auto& [origin, mid] : f.nodes[n]->deliveries) {
-      if (origin == 0) EXPECT_EQ(mid, make_msg_id(0, next0++));
-      if (origin == 6) EXPECT_EQ(mid, make_msg_id(6, next6++));
+      if (origin == 0) {
+        EXPECT_EQ(mid, make_msg_id(0, next0++));
+      }
+      if (origin == 6) {
+        EXPECT_EQ(mid, make_msg_id(6, next6++));
+      }
     }
     EXPECT_EQ(next0, 10u);
     EXPECT_EQ(next6, 10u);

@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "fastcast/storage/storage.hpp"
@@ -43,9 +45,8 @@ class TempDir {
     path_ = got;
   }
   ~TempDir() {
-    // Best-effort recursive cleanup (two levels: dir/node-N/files).
-    const std::string cmd = "rm -rf '" + path_ + "'";
-    [[maybe_unused]] const int rc = ::system(cmd.c_str());
+    std::error_code ec;  // best effort: a leftover dir fails no test
+    std::filesystem::remove_all(path_, ec);
   }
   const std::string& path() const { return path_; }
 
