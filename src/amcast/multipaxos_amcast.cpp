@@ -30,9 +30,17 @@ bool addressed_to(const MpIdRecord& rec, GroupId g) {
 MultiPaxosAmcast::MultiPaxosAmcast(Config config, NodeId self)
     : cfg_(std::move(config)), self_(self), cons_(cfg_.consensus, self),
       overload_(cfg_.flow) {
-  cons_.set_decide([this](InstanceId, const std::vector<std::byte>& value) {
+  cons_.set_decide([this](InstanceId inst, const std::vector<std::byte>& value) {
     FC_ASSERT_MSG(ctx_ != nullptr, "decision before on_start");
-    on_decide(*ctx_, value);
+    on_decide(*ctx_, inst, value);
+  });
+  // An id record still waiting for its body is not in the delivered set,
+  // so a restart must relearn its instance rather than skip past it.
+  cons_.set_settled_provider([this] {
+    return repair::Settled{pending_order_.empty()
+                               ? cons_.learner().next_to_deliver()
+                               : pending_order_.front().instance,
+                           0};
   });
 }
 
@@ -291,7 +299,8 @@ void MultiPaxosAmcast::arm_batch_timer(Context& ctx) {
   });
 }
 
-void MultiPaxosAmcast::on_decide(Context& ctx, const std::vector<std::byte>& value) {
+void MultiPaxosAmcast::on_decide(Context& ctx, InstanceId inst,
+                                 const std::vector<std::byte>& value) {
   if (overload_.enabled()) {
     // Propose→decide round trip is the second sojourn signal: it grows as
     // the pipelined window and acceptor queues fill. Only the proposals of
@@ -317,7 +326,7 @@ void MultiPaxosAmcast::on_decide(Context& ctx, const std::vector<std::byte>& val
         if (!addressed_to(rec, cfg_.my_group)) continue;
         if (delivered_.contains(rec.mid)) continue;  // re-proposed duplicate
         if (!pending_set_.insert(rec.mid).second) continue;
-        pending_order_.push_back(rec);
+        pending_order_.push_back(Pending{rec, inst});
       }
       drain_pending(ctx);
     } else {
@@ -342,7 +351,7 @@ void MultiPaxosAmcast::drain_pending(Context& ctx) {
   // Deliver strictly in decision order; the queue head gates on its body.
   bool progressed = false;
   while (!pending_order_.empty()) {
-    const MsgId mid = pending_order_.front().mid;
+    const MsgId mid = pending_order_.front().rec.mid;
     auto it = bodies_.find(mid);
     if (it == bodies_.end()) break;  // body still in flight; stall
     const MulticastMessage body = it->second;
@@ -387,7 +396,7 @@ void MultiPaxosAmcast::arm_body_pull(Context& ctx) {
   ctx.set_timer(kBodyPullInterval * pull_backoff_, [this, &ctx] {
     pull_armed_ = false;
     if (pending_order_.empty()) return;  // body arrived meanwhile
-    const MpIdRecord& head = pending_order_.front();
+    const MpIdRecord& head = pending_order_.front().rec;
     // Candidate holders: the ordering members (the leader stored a copy at
     // submit time) and the other destination replicas (any that delivered
     // still retains the body for a while). Rotate so a crashed candidate

@@ -90,7 +90,8 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   void on_submit(Context& ctx, const MulticastMessage& msg);
   bool admit_submission(Context& ctx, const MulticastMessage& msg);
   void flush(Context& ctx, bool force = false);
-  void on_decide(Context& ctx, const std::vector<std::byte>& value);
+  void on_decide(Context& ctx, InstanceId inst,
+                 const std::vector<std::byte>& value);
 
   // Id-mode machinery.
   void disseminate(Context& ctx, const MulticastMessage& msg);
@@ -130,8 +131,13 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   std::deque<MsgId> retained_;
 
   // Id mode: decided records addressed to my_group, in decision order,
-  // whose delivery stalls until the head's body is present.
-  std::deque<MpIdRecord> pending_order_;
+  // whose delivery stalls until the head's body is present. Each keeps the
+  // instance that decided it: the head's instance is not settled yet.
+  struct Pending {
+    MpIdRecord rec;
+    InstanceId instance = 0;
+  };
+  std::deque<Pending> pending_order_;
   std::set<MsgId> pending_set_;
   bool pull_armed_ = false;
   std::uint32_t pull_backoff_ = 1;
