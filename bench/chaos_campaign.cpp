@@ -103,9 +103,10 @@ std::vector<Intensity> intensities() {
 
 /// --lag scenario family: one (non-leader) replica held down for a long
 /// stretch of the window, then recovered far behind the decided frontier.
-/// Repair is enabled, so the campaign asserts catch-up completes within the
-/// cooldown (bounded catch-up) and the prune watermark advances (bounded
-/// acceptor state) on top of the usual safety verdict.
+/// Transfers trigger at a 32-instance gap, and the campaign asserts that
+/// catch-up completes within the cooldown (bounded catch-up) and the prune
+/// watermark advances (bounded acceptor state) on top of the usual safety
+/// verdict.
 std::vector<Intensity> lag_intensities() {
   std::vector<Intensity> out;
   {
@@ -241,7 +242,7 @@ struct CellResult {
   std::uint64_t storage_snapshots = 0;
   std::uint64_t durability_checks = 0;
 
-  // Lag-mode sums (zero when --lag is off).
+  // Repair sums (watermark gossip runs in every family).
   std::uint64_t repair_transfers = 0;
   std::uint64_t repair_completed = 0;
   std::uint64_t repair_installed = 0;
@@ -279,7 +280,7 @@ int main(int argc, char** argv) {
                  "  --smoke         3 seeds per cell (CI)\n"
                  "  --lag           lag-recovery scenario family: one replica\n"
                  "                  down for a long window then recovered;\n"
-                 "                  repair (state transfer + pruning) enabled,\n"
+                 "                  snapshot transfers at a 32-instance gap;\n"
                  "                  catch-up must complete and the prune\n"
                  "                  watermark must advance in every cell\n"
                  "  --overload      overload scenario family: open-loop load\n"
@@ -349,7 +350,6 @@ int main(int argc, char** argv) {
         cfg.faults = intensity.faults;
         cfg.seed = seed;
         if (lag) {
-          cfg.experiment.repair.enable = true;
           cfg.experiment.repair.lag_threshold = 32;
           // Bounded catch-up: the recovered replica must finish its transfer
           // well inside this settle window (asserted below).
@@ -488,10 +488,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> headers = {
       "protocol",  "intensity", "safety",    "avail mean",
       "avail min", "crashes",   "failovers", "failover p99",
-      "replayed",  "snapshots", "floor checks"};
-  if (lag) {
-    headers.insert(headers.end(), {"transfers", "installed", "prune wm"});
-  }
+      "replayed",  "snapshots", "floor checks", "transfers",
+      "installed", "prune wm"};
   if (overload) {
     headers.insert(headers.end(), {"sent", "rejected", "expired", "timed out",
                                    "suppressed", "retries"});
@@ -518,13 +516,11 @@ int main(int argc, char** argv) {
             : "-",
         std::to_string(c.replayed_records),
         std::to_string(c.storage_snapshots),
-        std::to_string(c.durability_checks)};
-    if (lag) {
-      row.push_back(std::to_string(c.repair_completed) + "/" +
-                    std::to_string(c.repair_transfers));
-      row.push_back(std::to_string(c.repair_installed));
-      row.push_back(std::to_string(c.prune_watermark_max));
-    }
+        std::to_string(c.durability_checks),
+        std::to_string(c.repair_completed) + "/" +
+            std::to_string(c.repair_transfers),
+        std::to_string(c.repair_installed),
+        std::to_string(c.prune_watermark_max)};
     if (overload) {
       row.push_back(std::to_string(c.sent));
       row.push_back(std::to_string(c.rejected));
@@ -571,12 +567,10 @@ int main(int argc, char** argv) {
       w.kv("replayed_records", c.replayed_records);
       w.kv("storage_snapshots", c.storage_snapshots);
       w.kv("durability_checks", c.durability_checks);
-      if (lag) {
-        w.kv("repair_transfers", c.repair_transfers);
-        w.kv("repair_completed", c.repair_completed);
-        w.kv("repair_installed", c.repair_installed);
-        w.kv("prune_watermark_max", c.prune_watermark_max);
-      }
+      w.kv("repair_transfers", c.repair_transfers);
+      w.kv("repair_completed", c.repair_completed);
+      w.kv("repair_installed", c.repair_installed);
+      w.kv("prune_watermark_max", c.prune_watermark_max);
       if (overload) {
         w.kv("sent", c.sent);
         w.kv("completions", c.completions);

@@ -165,37 +165,35 @@ ChaosRunResult run_chaos(const ChaosRunConfig& config) {
     result.failover_p99_ns = it->second.p99;
   }
 
-  if (cfg.repair.enable) {
-    result.repair_transfers = obs->metrics.counter_value("repair.transfers");
-    result.repair_completed =
-        obs->metrics.counter_value("repair.transfers_completed");
-    result.repair_entries_installed =
-        obs->metrics.counter_value("repair.entries_installed");
-    result.prune_watermark = obs->metrics.gauge_value("repair.prune_watermark");
+  result.repair_transfers = obs->metrics.counter_value("repair.transfers");
+  result.repair_completed =
+      obs->metrics.counter_value("repair.transfers_completed");
+  result.repair_entries_installed =
+      obs->metrics.counter_value("repair.entries_installed");
+  result.prune_watermark = obs->metrics.gauge_value("repair.prune_watermark");
 
-    // Residual lag after the settle window: how far the slowest learner of
-    // any consensus group trails its fastest peer. Crash episodes all
-    // recover inside the measurement window, so every replica should be
-    // back at (or near) the frontier by now; a large spread means catch-up
-    // — transfer or tail learning — failed to converge.
-    std::map<GroupId, std::pair<InstanceId, InstanceId>> spread;  // min, max
-    for (NodeId node : cluster.deployment().membership.all_replicas()) {
-      if (sim.is_crashed(node)) continue;
-      paxos::GroupConsensus* engine =
-          cluster.replica(node).protocol().consensus_engine();
-      if (engine == nullptr) continue;
-      const InstanceId frontier = engine->learner().next_to_deliver();
-      auto [it, fresh] =
-          spread.try_emplace(engine->config().group, frontier, frontier);
-      if (!fresh) {
-        it->second.first = std::min(it->second.first, frontier);
-        it->second.second = std::max(it->second.second, frontier);
-      }
+  // Residual lag after the settle window: how far the slowest learner of
+  // any consensus group trails its fastest peer. Crash episodes all
+  // recover inside the measurement window, so every replica should be
+  // back at (or near) the frontier by now; a large spread means catch-up
+  // — transfer or tail learning — failed to converge.
+  std::map<GroupId, std::pair<InstanceId, InstanceId>> spread;  // min, max
+  for (NodeId node : cluster.deployment().membership.all_replicas()) {
+    if (sim.is_crashed(node)) continue;
+    paxos::GroupConsensus* engine =
+        cluster.replica(node).protocol().consensus_engine();
+    if (engine == nullptr) continue;
+    const InstanceId frontier = engine->learner().next_to_deliver();
+    auto [it, fresh] =
+        spread.try_emplace(engine->config().group, frontier, frontier);
+    if (!fresh) {
+      it->second.first = std::min(it->second.first, frontier);
+      it->second.second = std::max(it->second.second, frontier);
     }
-    for (const auto& [group, mm] : spread) {
-      result.end_max_lag = std::max(result.end_max_lag,
-                                    static_cast<std::uint64_t>(mm.second - mm.first));
-    }
+  }
+  for (const auto& [group, mm] : spread) {
+    result.end_max_lag = std::max(result.end_max_lag,
+                                  static_cast<std::uint64_t>(mm.second - mm.first));
   }
 
   result.replayed_records = obs->metrics.counter_value("storage.replayed_records");

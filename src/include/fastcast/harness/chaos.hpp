@@ -73,7 +73,7 @@ struct ChaosRunResult {
   std::uint64_t retries = 0;     ///< budgeted resubmits
   std::uint64_t in_flight_end = 0;  ///< unresolved at run end
 
-  // Repair extras (zero unless experiment.repair.enable).
+  // Repair extras: watermark gossip runs in every campaign.
   std::uint64_t repair_transfers = 0;          ///< snapshot transfers started
   std::uint64_t repair_completed = 0;          ///< transfers fully installed
   std::uint64_t repair_entries_installed = 0;  ///< decided values installed

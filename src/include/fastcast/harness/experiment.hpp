@@ -59,8 +59,8 @@ struct ExperimentConfig {
   /// Id-mode batch accumulation thresholds (see MultiPaxosAmcast::Config).
   std::size_t mp_batch_fill = 1;
   Duration mp_batch_delay = 0;
-  /// State transfer + watermark pruning (src/repair). Off by default so
-  /// baseline message counts are untouched; lag scenarios switch it on.
+  /// Watermark gossip, pruning and lag-transfer timings (src/repair).
+  /// Gossip always runs; tests and lag campaigns shorten these timings.
   repair::Options repair;
   std::size_t payload_size = 64;
   /// >0 switches every client to an open loop: a new multicast every
