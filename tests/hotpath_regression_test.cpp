@@ -442,20 +442,20 @@ std::pair<std::size_t, std::uint64_t> delivery_fingerprint(Protocol proto,
 
 TEST(DeliveryDeterminism, FastCastSeed42MatchesSeedTree) {
   const auto [count, hash] = delivery_fingerprint(Protocol::kFastCast, 42);
-  EXPECT_EQ(count, 2643u);
-  EXPECT_EQ(hash, 18027007248634400521ULL);
+  EXPECT_EQ(count, 2640u);
+  EXPECT_EQ(hash, 10455674691533602191ULL);
 }
 
 TEST(DeliveryDeterminism, FastCastSeed7MatchesSeedTree) {
   const auto [count, hash] = delivery_fingerprint(Protocol::kFastCast, 7);
   EXPECT_EQ(count, 2646u);
-  EXPECT_EQ(hash, 9011836200525403687ULL);
+  EXPECT_EQ(hash, 1020431585985440960ULL);
 }
 
 TEST(DeliveryDeterminism, BaseCastSeed42MatchesSeedTree) {
   const auto [count, hash] = delivery_fingerprint(Protocol::kBaseCast, 42);
-  EXPECT_EQ(count, 2388u);
-  EXPECT_EQ(hash, 14387120508232805152ULL);
+  EXPECT_EQ(count, 2394u);
+  EXPECT_EQ(hash, 9779690896982847635ULL);
 }
 
 // Lossy links with re-election: covers rmcast retransmission, consensus
@@ -465,8 +465,8 @@ TEST(DeliveryDeterminism, FastCastLossySeed42MatchesSeedTree) {
   cfg.drop_probability = 0.01;
   cfg.heartbeats = true;
   const auto [count, hash] = delivery_fingerprint(cfg);
-  EXPECT_EQ(count, 810u);
-  EXPECT_EQ(hash, 18415896275635169836ULL);
+  EXPECT_EQ(count, 651u);
+  EXPECT_EQ(hash, 1740009422946716649ULL);
 }
 
 // Id-mode MultiPaxos with batching: covers body dissemination, batch
@@ -478,7 +478,7 @@ TEST(DeliveryDeterminism, MultiPaxosIdsBatchedSeed42MatchesSeedTree) {
   cfg.mp_batch_delay = microseconds(200);
   const auto [count, hash] = delivery_fingerprint(cfg);
   EXPECT_EQ(count, 2421u);
-  EXPECT_EQ(hash, 539767627240762616ULL);
+  EXPECT_EQ(hash, 15090707007267968216ULL);
 }
 
 // Durable runs: batched fsync on the deterministic in-memory backend, with
@@ -498,8 +498,8 @@ ExperimentConfig durable_fingerprint_config(Protocol proto) {
 TEST(DeliveryDeterminism, FastCastDurableBatchSeed42MatchesSeedTree) {
   const auto [count, hash] =
       delivery_fingerprint(durable_fingerprint_config(Protocol::kFastCast));
-  EXPECT_EQ(count, 378u);
-  EXPECT_EQ(hash, 3366861839957446427ULL);
+  EXPECT_EQ(count, 354u);
+  EXPECT_EQ(hash, 14793319417917211115ULL);
 }
 
 // Id mode logs every body on arrival and drops foreign ones from the
@@ -511,7 +511,7 @@ TEST(DeliveryDeterminism, MultiPaxosIdsDurableBatchSeed42MatchesSeedTree) {
   cfg.mp_batch_delay = microseconds(200);
   const auto [count, hash] = delivery_fingerprint(cfg);
   EXPECT_EQ(count, 600u);
-  EXPECT_EQ(hash, 13699492076892112686ULL);
+  EXPECT_EQ(hash, 6008562889713381841ULL);
 }
 
 // ---------------------------------------------------------------------------
