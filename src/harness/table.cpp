@@ -58,12 +58,15 @@ std::string fmt_double(double v, int decimals) {
 
 std::string fmt_count(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.0f", v);
-  std::string s = buf;
-  // Insert thousands separators for readability.
-  for (int pos = static_cast<int>(s.size()) - 3; pos > 0; pos -= 3) {
-    if (s[static_cast<std::size_t>(pos) - 1] == '-') break;
-    s.insert(static_cast<std::size_t>(pos), ",");
+  const int n = std::min(std::snprintf(buf, sizeof buf, "%.0f", v),
+                         static_cast<int>(sizeof buf) - 1);
+  // Copy the digits with a thousands separator before every third from
+  // the right (never right after the sign).
+  const int sign = buf[0] == '-' ? 1 : 0;
+  std::string s;
+  for (int i = 0; i < n; ++i) {
+    if (i > sign && (n - i) % 3 == 0) s.push_back(',');
+    s.push_back(buf[i]);
   }
   return s;
 }

@@ -35,7 +35,7 @@ class RmNode : public Process {
     m.id = make_msg_id(sender, seq);
     m.sender = sender;
     m.dst = {0};
-    m.payload = "x";
+    m.payload.assign(1, 'x');
     return AmStart{m};
   }
 
