@@ -259,8 +259,6 @@ void TimestampProtocolBase::on_decide(Context& ctx, InstanceId inst,
     // Consensus state that the group's prune floor bounds.
     o->metrics.gauge("paxos.accepted")
         .record_max(size(cons_.acceptor().accepted_count()));
-    o->metrics.gauge("repair.decided_log")
-        .record_max(size(cons_.repair().decided_log_size()));
   }
 }
 

@@ -36,7 +36,9 @@ class Acceptor {
 
   /// Installs recovered durable state (promise + accepted values) after a
   /// real restart. Keeps the larger of the current and recovered promise,
-  /// so a pre-promised initial ballot is never regressed.
+  /// so a pre-promised initial ballot is never regressed. Instances below
+  /// the recovered settled frontier count as decided: their aligning
+  /// records precede the kSettled record that covers them.
   void restore(const storage::DurableState::GroupState& durable);
 
   void on_p1a(Context& ctx, NodeId from, const P1a& msg);
@@ -48,9 +50,16 @@ class Acceptor {
   /// the requester where to re-poll instead of re-arming blindly.
   void on_p2b_request(Context& ctx, NodeId from, const P2bRequest& msg);
 
-  /// Installs a repair-transferred decided value without broadcasting P2b.
-  /// Keeps any live entry (its ballot is real); logs the accept when the
-  /// context carries storage so the installed value survives a crash.
+  /// Aligns the entry of a decided instance with its decided value, on the
+  /// member's decide path (transfer installs included) and without a P2b.
+  /// An entry that already holds the value keeps its ballot; a missing or
+  /// different one takes the value at the round-0 sentinel ballot, logged
+  /// as a kAccept record when the context carries storage. Replacing a
+  /// different value is safe: every ballot above the deciding one proposes
+  /// the decided value, so a Phase 1 quorum, which meets the deciding
+  /// quorum, still picks it. After alignment the entries hold the decided
+  /// value of every instance in [pruned_below, decided_below), which is
+  /// what repair transfers are served from.
   void install(Context& ctx, InstanceId inst, const std::vector<std::byte>& value);
 
   /// Drops accepted entries below `floor` (group-wide settled watermark).
@@ -62,10 +71,9 @@ class Acceptor {
   std::size_t accepted_count() const { return accepted_.size(); }
   InstanceId pruned_below() const { return pruned_below_; }
 
-  struct AcceptedValue {
-    Ballot vballot;
-    std::vector<std::byte> value;
-  };
+  /// The ballot an entry was accepted at and its value; the WAL fold keeps
+  /// the same shape.
+  using AcceptedValue = storage::DurableState::Accepted;
   const std::map<InstanceId, AcceptedValue>& accepted() const {
     return accepted_;
   }
@@ -76,6 +84,8 @@ class Acceptor {
   Ballot promised_;
   std::map<InstanceId, AcceptedValue> accepted_;
   InstanceId pruned_below_ = 0;
+  /// Instances below this are decided and aligned (see install).
+  InstanceId decided_below_ = 0;
 };
 
 }  // namespace fastcast::paxos

@@ -90,12 +90,6 @@ class GroupConsensus {
     settled_provider_ = std::move(fn);
   }
 
-  /// Installs one repair-transferred decided value: acceptor log (members)
-  /// plus learner force-decide, which re-runs the normal ordered delivery
-  /// path. Returns false when the instance was already decided here.
-  bool install_decided(Context& ctx, InstanceId inst,
-                       const std::vector<std::byte>& value);
-
   Learner& learner() { return learner_; }
   Proposer& proposer() { return proposer_; }
   Acceptor& acceptor() { return acceptor_; }

@@ -13,8 +13,9 @@
 /// carry the same value (Paxos invariant), counting distinct acceptors per
 /// ballot suffices; the value is taken from the first vote seen. One
 /// exception: a vote at the reserved round-0 sentinel ballot reports a
-/// repair-installed value, which is decided by construction and decides
-/// immediately without a quorum (see Acceptor::install).
+/// value its acceptor aligned to a decision, which is decided by
+/// construction and decides immediately without a quorum (see
+/// Acceptor::install).
 
 namespace fastcast::paxos {
 
@@ -23,9 +24,8 @@ class Learner {
   Learner(std::size_t quorum) : quorum_(quorum) {}
 
   /// Ordered decision upcall: invoked with instances 0, 1, 2, ... exactly
-  /// once each, with no gaps. The value is the learner's own copy, dropped
-  /// after the call, so the callee may move from it.
-  using DecideFn = std::function<void(InstanceId, std::vector<std::byte>&)>;
+  /// once each, with no gaps.
+  using DecideFn = std::function<void(InstanceId, const std::vector<std::byte>&)>;
   void set_decide(DecideFn fn) { decide_ = std::move(fn); }
 
   /// Raw decision observer (any order, once per instance) — used by the

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -9,6 +8,7 @@
 #include "fastcast/common/time.hpp"
 #include "fastcast/runtime/context.hpp"
 #include "fastcast/runtime/message.hpp"
+#include "fastcast/storage/snapshot.hpp"
 
 /// \file repair.hpp
 /// State transfer and replica repair for one consensus group.
@@ -24,27 +24,30 @@
 ///
 ///  * Lag recovery: a replica whose frontier trails the best peer's by more
 ///    than a threshold pulls the decided range [frontier, peer frontier)
-///    as chunked, CRC-guarded RepairSnapshot messages served from the
-///    peer's retained decided log — O(gap / chunk) messages instead of the
-///    O(gap × acceptors) P2b replay of plain catch-up polling. Chunks are
-///    fetched stop-and-wait (one outstanding request), so jittered links
-///    cannot reorder a transfer. Installed entries flow through the normal
-///    learner decide path, so delivery order, dedup, and durability gating
-///    are untouched; a corrupt chunk indicts the server and the transfer
+///    as chunked, CRC-guarded RepairSnapshot messages read from the peer's
+///    acceptor — O(gap / chunk) messages instead of the O(gap × acceptors)
+///    P2b replay of plain catch-up polling. A member's acceptor is its
+///    only record of decided history: the decide path aligns it with every
+///    decided value, so it holds every instance between its prune floor
+///    and its learner frontier, across restarts too. Chunks are fetched
+///    stop-and-wait (one outstanding request), so jittered links cannot
+///    reorder a transfer. Installed entries flow through the normal learner
+///    decide path, so delivery order, dedup, and durability gating are
+///    untouched; a corrupt chunk indicts the server and the transfer
 ///    re-fetches from another peer.
 ///
 ///  * Watermark pruning: the minimum settled frontier over *all* learners
 ///    is the group's prune floor — below it no live peer can ever need an
-///    accepted value again, so acceptors drop those entries (and the
-///    decided log trims, a few instances per decision so no handler frees
-///    a whole advance at once) instead of growing without bound. A learner
-///    that has not announced blocks pruning entirely, and a down learner
-///    freezes the floor at its last announce: pruning can stall, never
-///    overtake a peer. With storage attached, the announced settled value
-///    is additionally gated on WAL durability (it advances only once the
-///    backing kSettled record — and transitively the kDelivered records it
-///    summarizes — is flushed), so a crash can never leave the node below
-///    a floor its own announce let peers prune to.
+///    accepted value again, so acceptors drop those entries (a few
+///    instances per decision, so no handler frees a whole advance at once)
+///    instead of growing without bound. A learner that has not announced
+///    blocks pruning entirely, and a down learner freezes the floor at its
+///    last announce: pruning can stall, never overtake a peer. With
+///    storage attached, the announced settled value is additionally gated
+///    on WAL durability (it advances only once the backing kSettled record
+///    — and transitively the kDelivered and aligning kAccept records it
+///    covers — is flushed), so a crash can never leave the node below a
+///    floor its own announce let peers prune to.
 
 namespace fastcast::repair {
 
@@ -76,6 +79,14 @@ struct RepairEntry {
   friend bool operator==(const RepairEntry&, const RepairEntry&) = default;
 };
 
+/// A member's acceptor as a transfer reads it: its accepted entries and the
+/// floor they were pruned below. Every instance in [pruned_below, frontier)
+/// holds its decided value (see paxos::Acceptor::install).
+struct AcceptedLog {
+  const std::map<InstanceId, storage::DurableState::Accepted>& entries;
+  InstanceId pruned_below;
+};
+
 void encode_repair_entries(const std::vector<RepairEntry>& entries,
                            std::vector<std::byte>& out);
 bool decode_repair_entries(std::span<const std::byte> bytes,
@@ -93,17 +104,21 @@ class RepairCoordinator {
     Options options;
   };
 
-  /// Every hook but kick_tail is required.
+  /// Every hook is required.
   struct Hooks {
     std::function<Settled()> settled;      ///< protocol settled view
     std::function<InstanceId()> frontier;  ///< learner's next undecided
-    /// Installs one decided value (acceptor log + learner force-decide);
-    /// returns false when the instance was already decided locally.
+    /// Installs one decided value through the learner's decide path, which
+    /// aligns a member's acceptor; returns false when the instance was
+    /// already decided locally.
     std::function<bool(Context&, InstanceId, const std::vector<std::byte>&)>
         install;
     /// Drops the acceptor's entries below one step of the prune floor (a
     /// no-op on non-members); the coordinator logs the floor itself.
     std::function<void(Context&, InstanceId)> prune;
+    /// The member's acceptor, which served chunks are read from (only
+    /// called on members).
+    std::function<AcceptedLog()> accepted;
     /// Arms normal P2bRequest catch-up for the tail above the transfer.
     std::function<void(Context&)> kick_tail;
   };
@@ -118,10 +133,8 @@ class RepairCoordinator {
   void restore_durable_settled(InstanceId settled);
 
   /// Called for every instance the learner delivers, in order: arms the
-  /// announce tick, and on members keeps the value in the decided log that
-  /// transfers are served from (non-members never serve transfers).
-  void note_decided(Context& ctx, InstanceId inst,
-                    std::vector<std::byte>&& value);
+  /// announce tick and applies one step of the prune floor.
+  void note_decided(Context& ctx);
 
   /// Routes WatermarkAnnounce / RepairRequest / RepairSnapshot for this
   /// group; false if the message is not repair traffic for this group.
@@ -130,7 +143,6 @@ class RepairCoordinator {
   InstanceId prune_floor() const { return prune_floor_; }
   InstanceId durable_settled() const { return durable_settled_; }
   bool transfer_active() const { return transfer_active_; }
-  std::size_t decided_log_size() const { return decided_log_.size(); }
 
  private:
   struct PeerMark {
@@ -164,11 +176,6 @@ class RepairCoordinator {
   /// Highest settled frontier whose kSettled record is known durable — the
   /// only value announce() may ship, since peers prune to it.
   InstanceId durable_settled_ = 0;
-
-  /// Decided values of instances [log_base_, log_base_ + size) retained for
-  /// serving transfers; trimmed at the floor.
-  std::deque<std::vector<std::byte>> decided_log_;
-  InstanceId log_base_ = 0;
 
   bool transfer_active_ = false;
   NodeId transfer_server_ = kInvalidNode;

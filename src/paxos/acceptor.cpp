@@ -10,9 +10,10 @@ namespace fastcast::paxos {
 void Acceptor::restore(const storage::DurableState::GroupState& durable) {
   if (durable.promised > promised_) promised_ = durable.promised;
   for (const auto& [inst, acc] : durable.accepted) {
-    accepted_[inst] = AcceptedValue{acc.ballot, acc.value};
+    accepted_.insert_or_assign(inst, acc);
   }
   if (durable.pruned_below > pruned_below_) pruned_below_ = durable.pruned_below;
+  if (durable.settled > decided_below_) decided_below_ = durable.settled;
 }
 
 void Acceptor::on_p1a(Context& ctx, NodeId from, const P1a& msg) {
@@ -30,7 +31,7 @@ void Acceptor::on_p1a(Context& ctx, NodeId from, const P1a& msg) {
   reply.from_instance = msg.from_instance;
   for (auto it = accepted_.lower_bound(msg.from_instance); it != accepted_.end();
        ++it) {
-    reply.accepted.push_back({it->first, it->second.vballot, it->second.value});
+    reply.accepted.push_back({it->first, it->second.ballot, it->second.value});
   }
 
   // The promise record is appended after any accept records it reports, so
@@ -49,6 +50,14 @@ void Acceptor::on_p2a(Context& ctx, NodeId from, const P2a& msg) {
   if (msg.ballot < promised_) {
     ctx.send(from, Message{PaxosNack{group_, promised_, msg.instance}});
     return;
+  }
+  if (msg.instance < decided_below_) {
+    // Every ballot above the deciding one proposes the decided value, so a
+    // P2a carrying another value (or one below the prune floor) is from a
+    // stale lower ballot. Accepting it would overwrite the decided value
+    // that transfers ship; ignoring it is always allowed.
+    const auto it = accepted_.find(msg.instance);
+    if (it == accepted_.end() || it->second.value != msg.value) return;
   }
   promised_ = msg.ballot;
   accepted_[msg.instance] = AcceptedValue{msg.ballot, msg.value};
@@ -85,7 +94,7 @@ void Acceptor::on_p2b_request(Context& ctx, NodeId from, const P2bRequest& msg) 
   for (; it != accepted_.end() && sent < kMaxReplies; ++it, ++sent) {
     P2b vote;
     vote.group = group_;
-    vote.ballot = it->second.vballot;
+    vote.ballot = it->second.ballot;
     vote.instance = it->first;
     vote.acceptor = ctx.self();
     vote.value = it->second.value;
@@ -101,14 +110,15 @@ void Acceptor::on_p2b_request(Context& ctx, NodeId from, const P2bRequest& msg) 
 
 void Acceptor::install(Context& ctx, InstanceId inst,
                        const std::vector<std::byte>& value) {
+  if (inst >= decided_below_) decided_below_ = inst + 1;
   if (inst < pruned_below_) return;
   auto [it, fresh] = accepted_.try_emplace(inst);
-  if (!fresh) return;  // the live entry carries a real ballot; keep it
-  // Ballot (0,0) marks "learned via repair": any later real accept or P1b
-  // adoption supersedes it, and since only decided values are installed the
-  // value can never differ from what a quorum converges on. Learners treat
-  // a replayed round-0 vote as decided outright (no quorum), so catch-up
-  // cannot stall on votes split between the sentinel and the real ballot.
+  if (!fresh && it->second.value == value) return;  // keep the real ballot
+  // Round 0 marks "decided, learned without a vote": any later real accept
+  // (of the same value, see on_p2a) or P1b adoption supersedes it.
+  // Learners treat a replayed round-0 vote as decided outright (no
+  // quorum), so catch-up cannot stall on votes split between the sentinel
+  // and the real ballot.
   it->second = AcceptedValue{Ballot{}, value};
   if (storage::NodeStorage* st = ctx.storage()) {
     st->log(storage::WalRecord::accept(group_, inst, Ballot{}, value));

@@ -79,13 +79,16 @@ GroupConsensus::GroupConsensus(Config config, NodeId self)
 }
 
 void GroupConsensus::set_decide(DecideFn fn) {
-  learner_.set_decide([this, fn = std::move(fn)](InstanceId inst,
-                                                 std::vector<std::byte>& value) {
+  learner_.set_decide([this, fn = std::move(fn)](
+                          InstanceId inst, const std::vector<std::byte>& value) {
     FC_ASSERT_MSG(ctx_ != nullptr, "decision before on_start");
+    // A member's acceptor is its record of decided history, which repair
+    // transfers are served from. Align it before the protocol runs, so its
+    // record precedes anything the decision makes the protocol log (the
+    // kSettled record that will cover it included).
+    if (is_member(self_)) acceptor_.install(*ctx_, inst, value);
     if (fn) fn(inst, value);
-    // Every learner's progress is announced; members also keep the value
-    // to serve repair transfers until the group's prune floor passes it.
-    repair_.note_decided(*ctx_, inst, std::move(value));
+    repair_.note_decided(*ctx_);
   });
 }
 
@@ -101,11 +104,16 @@ repair::RepairCoordinator::Hooks GroupConsensus::repair_hooks() {
       .install =
           [this](Context& ctx, InstanceId inst,
                  const std::vector<std::byte>& value) {
-            return install_decided(ctx, inst, value);
+            return learner_.force_decided(ctx, inst, value);
           },
       .prune =
           [this](Context&, InstanceId floor) {
             if (is_member(self_)) acceptor_.prune_below(floor);
+          },
+      .accepted =
+          [this] {
+            return repair::AcceptedLog{acceptor_.accepted(),
+                                       acceptor_.pruned_below()};
           },
       .kick_tail = [this](Context& ctx) { arm_catch_up(ctx); },
   };
@@ -162,7 +170,7 @@ void GroupConsensus::on_start(Context& ctx) {
     const auto& accepted = acceptor_.accepted();
     for (auto it = accepted.lower_bound(learner_.next_to_deliver());
          it != accepted.end(); ++it) {
-      learner_.on_p2b(ctx, P2b{config_.group, it->second.vballot, it->first,
+      learner_.on_p2b(ctx, P2b{config_.group, it->second.ballot, it->first,
                                self_, it->second.value});
     }
   }
@@ -214,15 +222,6 @@ void GroupConsensus::arm_catch_up(Context& ctx) {
     }
     arm_catch_up(ctx);
   });
-}
-
-bool GroupConsensus::install_decided(Context& ctx, InstanceId inst,
-                                     const std::vector<std::byte>& value) {
-  if (learner_.is_decided(inst)) return false;
-  // Members also adopt the entry into their acceptor (logged when durable)
-  // so the repaired node can in turn serve catch-up and later repairs.
-  if (is_member(self_)) acceptor_.install(ctx, inst, value);
-  return learner_.force_decided(ctx, inst, value);
 }
 
 void GroupConsensus::propose(Context& ctx, std::vector<std::byte> value) {

@@ -9,7 +9,7 @@ void Learner::on_p2b(Context& ctx, const P2b& msg) {
 
   // Round 0 is reserved for "never voted": no proposer ever runs Phase 2 at
   // it, so a round-0 vote can only be an acceptor replaying a value it
-  // installed from a repair transfer — decided by construction, one report
+  // aligned to a decision — decided by construction, one report
   // suffices. Counting it as an ordinary vote would split the quorum
   // between the sentinel and the real accept ballot and stall small gaps.
   if (msg.ballot.round == 0) {

@@ -54,6 +54,8 @@ RepairCoordinator::RepairCoordinator(Config config, Hooks hooks)
   FC_ASSERT_MSG(hooks_.frontier != nullptr, "repair needs a frontier hook");
   FC_ASSERT_MSG(hooks_.install != nullptr, "repair needs an install hook");
   FC_ASSERT_MSG(hooks_.prune != nullptr, "repair needs a prune hook");
+  FC_ASSERT_MSG(hooks_.accepted != nullptr, "repair needs an accepted hook");
+  FC_ASSERT_MSG(hooks_.kick_tail != nullptr, "repair needs a kick_tail hook");
 }
 
 bool RepairCoordinator::is_member(NodeId n) const {
@@ -69,15 +71,8 @@ void RepairCoordinator::restore_durable_settled(InstanceId settled) {
   logged_settled_ = std::max(logged_settled_, settled);
 }
 
-void RepairCoordinator::note_decided(Context& ctx, InstanceId inst,
-                                     std::vector<std::byte>&& value) {
+void RepairCoordinator::note_decided(Context& ctx) {
   arm_announce(ctx);
-  if (is_member(cfg_.self)) {  // non-members never serve transfers
-    if (decided_log_.empty()) log_base_ = inst;
-    FC_ASSERT_MSG(inst == log_base_ + decided_log_.size(),
-                  "decisions reach the repair log out of order");
-    decided_log_.push_back(std::move(value));
-  }
   prune_step(ctx, kPruneStepPerDecision);
 }
 
@@ -188,15 +183,11 @@ void RepairCoordinator::maybe_prune(Context& ctx) {
 }
 
 // The floor is applied a few instances at a time, on each decision, floor
-// advance and announce tick, so the acceptor and the decided log catch up
-// with it without a stall.
+// advance and announce tick, so the acceptor catches up with it without a
+// stall.
 void RepairCoordinator::prune_step(Context& ctx, InstanceId max_step) {
   if (pruned_to_ >= prune_floor_) return;
   pruned_to_ = std::min(prune_floor_, pruned_to_ + max_step);
-  while (!decided_log_.empty() && log_base_ < pruned_to_) {
-    decided_log_.pop_front();
-    ++log_base_;
-  }
   hooks_.prune(ctx, pruned_to_);
 }
 
@@ -238,28 +229,30 @@ void RepairCoordinator::maybe_request(Context& ctx) {
 
 void RepairCoordinator::on_request(Context& ctx, NodeId from,
                                    const RepairRequest& msg) {
-  if (!is_member(cfg_.self)) return;  // only acceptors retain a decided log
+  if (!is_member(cfg_.self)) return;  // only acceptors hold decided history
   const InstanceId frontier = hooks_.frontier();
-  if (msg.from_instance >= frontier) return;
-  // Serve ONE chunk of the contiguous decided run starting exactly at the
-  // requested instance (the requester pulls the next chunk after installing
-  // this one — stop-and-wait, so jittered links can never reorder a
-  // transfer). A request below the log (a recently restarted server still
-  // relearning, or a pruned instance) cannot be served, so we serve nothing
-  // and let the requester time out toward another peer.
-  const InstanceId end =
-      std::min<InstanceId>(frontier, log_base_ + decided_log_.size());
-  if (msg.from_instance < log_base_ || msg.from_instance >= end) return;
-
+  const AcceptedLog log = hooks_.accepted();
+  // A request below the prune floor crossed its sender's later announce:
+  // the sender has settled past it since, so there is nothing to serve.
+  if (msg.from_instance >= frontier || msg.from_instance < log.pruned_below) {
+    return;
+  }
+  // Serve ONE chunk of the decided run starting exactly at the requested
+  // instance (the requester pulls the next chunk after installing this one
+  // — stop-and-wait, so jittered links can never reorder a transfer).
   std::vector<RepairEntry> run;
   InstanceId next = msg.from_instance;
-  while (next < end && run.size() < cfg_.options.chunk_entries) {
-    run.push_back(RepairEntry{next, decided_log_[next - log_base_]});
-    ++next;
+  auto it = log.entries.find(next);
+  for (; next < frontier && run.size() < cfg_.options.chunk_entries;
+       ++next, ++it) {
+    FC_ASSERT_MSG(it != log.entries.end() && it->first == next,
+                  "a member's acceptor holds every decided instance above "
+                  "its prune floor");
+    run.push_back(RepairEntry{next, it->second.value});
   }
   // Last chunk when the run reaches our frontier; the requester's tail goes
   // through normal quorum learning.
-  const bool more = next < end;
+  const bool more = next < frontier;
 
   RepairSnapshot snap;
   snap.group = cfg_.group;
@@ -340,7 +333,7 @@ void RepairCoordinator::on_snapshot(Context& ctx, NodeId from,
   // transfer ran, or beyond the per-transfer chunk budget) goes through
   // normal quorum learning; lag detection restarts a transfer if the
   // residual gap is still above threshold.
-  if (hooks_.kick_tail) hooks_.kick_tail(ctx);
+  hooks_.kick_tail(ctx);
 }
 
 void RepairCoordinator::on_announce(Context& ctx, NodeId from,

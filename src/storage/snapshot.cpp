@@ -22,8 +22,10 @@ void DurableState::apply(const WalRecord& rec) {
       auto& g = groups[rec.group];
       // Accepting at a ballot implies having promised it.
       if (rec.ballot > g.promised) g.promised = rec.ballot;
+      // Round 0 is only ever logged for a decided value (the acceptor's
+      // alignment on the decide path), which replaces any earlier vote.
       auto& acc = g.accepted[rec.instance];
-      if (rec.ballot >= acc.ballot) {
+      if (rec.ballot.round == 0 || rec.ballot >= acc.ballot) {
         acc.ballot = rec.ballot;
         acc.value = rec.value;
       }

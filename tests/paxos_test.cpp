@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "fastcast/common/rng.hpp"
 #include "fastcast/paxos/group_consensus.hpp"
 #include "fastcast/sim/simulator.hpp"
 #include "fastcast/storage/storage.hpp"
@@ -98,10 +99,14 @@ struct Fixture {
       const auto it = durable.groups.find(cfg.group);
       fresh->cons.restore_durable(it == durable.groups.end() ? nullptr
                                                              : &it->second);
+      if (on_rebuilt) on_rebuilt(n, *fresh);
       nodes[n] = fresh;
       return fresh;
     });
   }
+
+  /// Runs on every node rebuilt from storage before it starts.
+  std::function<void(NodeId, ConsensusNode&)> on_rebuilt;
 
   Membership membership;
   GroupConsensus::Config cfg;
@@ -556,6 +561,132 @@ TEST(GroupConsensus, RecoveredLeaderRejoinsAsFollower) {
     if (!v.empty() && value_to_int(v) == 100) found = true;
   }
   EXPECT_TRUE(found) << "post-recovery proposal not decided on recovered node";
+}
+
+/// Proposes one value per ms, valued by the ms, until `until`.
+void propose_each_ms(ConsensusNode* n, Context& ctx, Time until) {
+  ctx.set_timer(milliseconds(1), [n, &ctx, until] {
+    if (ctx.now() > until) return;
+    n->cons.propose(ctx, value_of(static_cast<int>(ctx.now() / milliseconds(1))));
+    propose_each_ms(n, ctx, until);
+  });
+}
+
+TEST(GroupConsensus, LaggingLearnerCatchesUpAfterEveryServerRestarted) {
+  // Node 2 is down while the others decide ~320 instances, and both of
+  // them restart before it returns. Transfers read a member's acceptor,
+  // which its WAL rebuilds, so they still serve the whole gap; catch-up
+  // polls hold off while a transfer runs, so nothing else would.
+  Fixture f;  // reliable links: catch-up only polls after a restart
+  f.rebuild_from_storage();
+  f.cfg.retry_interval = milliseconds(60);  // what rebuilt nodes run
+  const Time until = milliseconds(540);
+  f.nodes[0]->start_hook = [n0 = f.nodes[0].get(), until](Context& ctx) {
+    propose_each_ms(n0, ctx, until);
+  };
+  f.on_rebuilt = [until](NodeId id, ConsensusNode& node) {
+    if (id != 0) return;
+    node.start_hook = [n = &node, until](Context& ctx) {
+      propose_each_ms(n, ctx, until);
+    };
+  };
+  f.sim->schedule_crash(2, milliseconds(20));
+  f.sim->schedule_crash(1, milliseconds(200));
+  f.sim->schedule_recover(1, milliseconds(250));
+  f.sim->schedule_crash(0, milliseconds(400));
+  f.sim->schedule_recover(0, milliseconds(450));
+  f.sim->schedule_recover(2, milliseconds(650));
+  f.sim->start();
+  f.sim->run_until(seconds(20));
+
+  const InstanceId frontier = f.nodes[0]->cons.learner().next_to_deliver();
+  EXPECT_GT(frontier, InstanceId{300});
+  EXPECT_EQ(f.nodes[1]->cons.learner().next_to_deliver(), frontier);
+  EXPECT_EQ(f.nodes[2]->cons.learner().next_to_deliver(), frontier);
+  // Every node restarted, so each stream starts at its own settled
+  // frontier; where two streams overlap they agree.
+  std::map<InstanceId, std::vector<std::byte>> decided;
+  for (const auto& node : f.nodes) {
+    for (const auto& [inst, value] : node->decided) {
+      const auto [it, fresh] = decided.try_emplace(inst, value);
+      EXPECT_EQ(it->second, value) << "instance " << inst;
+    }
+  }
+}
+
+TEST(GroupConsensus, DecisionAlignsTheAcceptorWithTheDecidedValue) {
+  // Node 2 accepts v at the stable leader's ballot (1, 0); nodes 0 and 1
+  // then decide w at ballot (2, 1). Node 2's decision replaces its vote
+  // with w at the round-0 sentinel, which a stale P2a cannot undo, which
+  // it serves in transfers, and which its WAL rebuilds.
+  Fixture f;
+  f.rebuild_from_storage();
+  Rng torn(7);
+  f.sim->set_crash_hook([&f, &torn](NodeId n) { f.storage->node(n)->on_crash(&torn); });
+  const std::vector<std::byte> v = value_of(1);
+  const std::vector<std::byte> w = value_of(2);
+  // Node 0 must not decide: its settled frontier then stays 0, so nothing
+  // is pruned and instance 0 stays servable.
+  f.sim->set_link_filter([](NodeId, NodeId to, Time) { return to != 0; });
+  std::vector<RepairSnapshot> served;
+  f.sim->set_send_observer([&served](NodeId from, NodeId to, const Message& msg) {
+    if (from != 2 || to != 1) return;
+    if (const auto* snap = std::get_if<RepairSnapshot>(&msg.payload)) {
+      served.push_back(*snap);
+    }
+  });
+  auto p2a = [](Ballot b, const std::vector<std::byte>& value) {
+    return Message{P2a{0, b, 0, value}};
+  };
+  ConsensusNode* n0 = f.nodes[0].get();
+  ConsensusNode* n1 = f.nodes[1].get();
+  ConsensusNode* n2 = f.nodes[2].get();
+  n2->start_hook = [n2, v, p2a](Context& ctx) {
+    n2->cons.handle(ctx, 0, p2a(Ballot{1, 0}, v));
+    // A late copy of the stale P2a, after the decision.
+    ctx.set_timer(milliseconds(55), [n2, v, p2a, &ctx] {
+      n2->cons.handle(ctx, 0, p2a(Ballot{1, 0}, v));
+    });
+  };
+  n0->start_hook = [n0, w, p2a](Context& ctx) {
+    ctx.set_timer(milliseconds(5), [n0, w, p2a, &ctx] {
+      n0->cons.handle(ctx, 1, p2a(Ballot{2, 1}, w));
+    });
+  };
+  n1->start_hook = [n1, w, p2a](Context& ctx) {
+    ctx.set_timer(milliseconds(5), [n1, w, p2a, &ctx] {
+      n1->cons.handle(ctx, 1, p2a(Ballot{2, 1}, w));
+    });
+    // Two requests for instance 0, before and after node 2's restart.
+    for (const Time at : {milliseconds(60), milliseconds(200)}) {
+      ctx.set_timer(at, [&ctx] { ctx.send(2, Message{RepairRequest{0, 0}}); });
+    }
+  };
+  f.sim->start();
+  f.sim->run_until(milliseconds(50));
+  ASSERT_EQ(f.nodes[2]->decided.size(), 1u);
+  EXPECT_EQ(f.nodes[2]->decided[0].second, w);
+  auto held = [&f] { return f.nodes[2]->cons.acceptor().accepted().at(0); };
+  EXPECT_EQ(held().value, w);
+  EXPECT_EQ(held().ballot, Ballot{});
+
+  f.sim->run_until(milliseconds(100));
+  EXPECT_EQ(held().value, w);  // the stale P2a was ignored
+  ASSERT_EQ(served.size(), 1u);
+  std::vector<repair::RepairEntry> entries;
+  ASSERT_TRUE(repair::decode_repair_entries(served[0].payload, entries));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].value, w);
+
+  f.sim->crash(2);
+  f.sim->recover(2);
+  EXPECT_EQ(held().value, w);
+  f.sim->run_until(milliseconds(300));
+  ASSERT_EQ(served.size(), 2u);
+  entries.clear();
+  ASSERT_TRUE(repair::decode_repair_entries(served[1].payload, entries));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].value, w);
 }
 
 TEST(GroupConsensus, LearnerCatchUpFillsTailGapUnderLoss) {

@@ -196,8 +196,18 @@ struct CoordinatorFixture : ::testing::Test {
       return true;
     };
     hooks.prune = [this](Context&, InstanceId floor) { pruned_to = floor; };
+    hooks.accepted = [this] {
+      return repair::AcceptedLog{accepted, pruned_below};
+    };
     hooks.kick_tail = [this](Context&) { ++kicks; };
     return std::make_unique<RepairCoordinator>(cfg, std::move(hooks));
+  }
+
+  /// Fills the fake acceptor with decided values of [from, to).
+  void accept_decided(InstanceId from, InstanceId to) {
+    for (InstanceId i = from; i < to; ++i) {
+      accepted[i] = {Ballot{1, 0}, bytes_of("d")};
+    }
   }
 
   void announce_from(NodeId from, InstanceId settled_mark,
@@ -237,6 +247,9 @@ struct CoordinatorFixture : ::testing::Test {
   std::uint64_t clock = 0;
   InstanceId frontier = 0;
   InstanceId pruned_to = 0;
+  /// The fake acceptor transfers are served from.
+  std::map<InstanceId, storage::DurableState::Accepted> accepted;
+  InstanceId pruned_below = 0;
   int kicks = 0;
   std::vector<std::pair<InstanceId, std::vector<std::byte>>> installed;
   std::unique_ptr<RepairCoordinator> coord;
@@ -303,7 +316,7 @@ TEST_F(CoordinatorFixture, MisalignedChunkIsIgnoredNotFatal) {
 
 TEST_F(CoordinatorFixture, ServesOneChunkPerRequestUntilFrontier) {
   frontier = 20;
-  for (InstanceId i = 0; i < 20; ++i) coord->note_decided(ctx, i, bytes_of("d"));
+  accept_decided(0, 25);  // accepted beyond the frontier: not yet decided
   coord->handle(ctx, 2, Message{RepairRequest{1, 4}});
   auto chunks = sent_to<RepairSnapshot>(2);
   ASSERT_EQ(chunks.size(), 1u);  // stop-and-wait: one chunk per request
@@ -321,11 +334,28 @@ TEST_F(CoordinatorFixture, ServesOneChunkPerRequestUntilFrontier) {
   EXPECT_TRUE(chunks[1].last);
 }
 
-TEST_F(CoordinatorFixture, ServerWithHoleServesNothing) {
+TEST_F(CoordinatorFixture, RequestBelowThePruneFloorServesNothing) {
   frontier = 20;
-  for (InstanceId i = 10; i < 20; ++i) coord->note_decided(ctx, i, bytes_of("d"));
-  coord->handle(ctx, 2, Message{RepairRequest{1, 4}});  // below our log start
+  pruned_below = 10;
+  accept_decided(10, 20);
+  // The request crossed its sender's later announce, which let the floor
+  // pass it: stale, so nothing is served.
+  coord->handle(ctx, 2, Message{RepairRequest{1, 4}});
   EXPECT_TRUE(sent_to<RepairSnapshot>(2).empty());
+
+  // From the floor up the acceptor holds every decided instance.
+  coord->handle(ctx, 2, Message{RepairRequest{1, 10}});
+  const auto chunks = sent_to<RepairSnapshot>(2);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].from_instance, 10u);
+  EXPECT_EQ(chunks[0].watermark, 18u);
+}
+
+TEST_F(CoordinatorFixture, HoleBelowTheFrontierIsAnInvariantViolation) {
+  frontier = 20;
+  accept_decided(10, 20);  // instances 0..9 decided but never aligned
+  EXPECT_DEATH(coord->handle(ctx, 2, Message{RepairRequest{1, 4}}),
+               "holds every decided instance");
 }
 
 TEST_F(CoordinatorFixture, PruneWaitsForEveryLearner) {
@@ -346,14 +376,13 @@ TEST_F(CoordinatorFixture, PruneWaitsForEveryLearner) {
 TEST_F(CoordinatorFixture, PruneNeverPassesSlowestWatermark) {
   settled = 100;
   frontier = 100;
-  for (InstanceId i = 0; i < 100; ++i) coord->note_decided(ctx, i, bytes_of("d"));
   coord->on_start(ctx);
   ctx.run_until(milliseconds(15));
   announce_from(1, 80, 100);
   announce_from(2, 25, 100);
   EXPECT_EQ(coord->prune_floor(), 25u);
-  // The decided log keeps everything a live peer may still fetch.
-  EXPECT_EQ(coord->decided_log_size(), 75u);
+  // The acceptor keeps everything a live peer may still fetch.
+  EXPECT_EQ(pruned_to, 25u);
 
   // Peer 2 goes quiet and everyone else races ahead: the floor FREEZES at
   // its last announce — pruning may stall, never overtake a live peer.
@@ -452,7 +481,7 @@ TEST_F(CoordinatorFixture, RecoveryRelogsSettledTheCrashDropped) {
   EXPECT_EQ(coord->durable_settled(), 50u);
 }
 
-TEST(RepairCoordinatorNonMember, KeepsNoDecidedLogAndServesNothing) {
+TEST(RepairCoordinatorNonMember, ServesNothing) {
   RepairCoordinator::Config cfg;
   cfg.group = 1;
   cfg.self = 3;  // pure learner, not an acceptor
@@ -465,14 +494,13 @@ TEST(RepairCoordinatorNonMember, KeepsNoDecidedLogAndServesNothing) {
     return true;
   };
   hooks.prune = [](Context&, InstanceId) {};
+  static const std::map<InstanceId, storage::DurableState::Accepted> none;
+  hooks.accepted = [] { return repair::AcceptedLog{none, 0}; };
+  hooks.kick_tail = [](Context&) {};
   RepairCoordinator coord(cfg, std::move(hooks));
 
-  // Only members serve transfers, so retaining decided values on a pure
-  // learner would just duplicate the whole history for nothing.
+  // Only members hold decided history, so only members serve transfers.
   FakeContext ctx;
-  for (InstanceId i = 0; i < 50; ++i) coord.note_decided(ctx, i, bytes_of("d"));
-  EXPECT_EQ(coord.decided_log_size(), 0u);
-
   coord.handle(ctx, 1, Message{RepairRequest{1, 0}});
   EXPECT_TRUE(ctx.sent.empty());
 }

@@ -534,6 +534,20 @@ TEST(Snapshot, ApplySemantics) {
   EXPECT_TRUE(s.delivered.contains(mid));
 }
 
+TEST(Snapshot, DecidedAcceptReplacesAnEarlierVote) {
+  // A round-0 accept is only logged for a decided value (the acceptor's
+  // alignment on the decide path), so it replaces a vote at any ballot;
+  // later real accepts carry the same value and supersede it as usual.
+  DurableState s;
+  s.apply(WalRecord::accept(1, 4, Ballot{1, 0}, bytes_of({0x01})));
+  s.apply(WalRecord::accept(1, 4, Ballot{}, bytes_of({0x02})));
+  EXPECT_EQ(s.groups.at(1).accepted.at(4).value, bytes_of({0x02}));
+  EXPECT_EQ(s.groups.at(1).accepted.at(4).ballot, Ballot{});
+  EXPECT_EQ(s.groups.at(1).promised, (Ballot{1, 0}));
+  s.apply(WalRecord::accept(1, 4, Ballot{3, 2}, bytes_of({0x02})));
+  EXPECT_EQ(s.groups.at(1).accepted.at(4).ballot, (Ballot{3, 2}));
+}
+
 // ---------------------------------------------------------------------------
 // NodeStorage: gate, policies, snapshot+replay equivalence, crash model
 // ---------------------------------------------------------------------------
