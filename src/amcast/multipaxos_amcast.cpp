@@ -183,14 +183,14 @@ bool MultiPaxosAmcast::admit_submission(Context& ctx, const MulticastMessage& ms
 }
 
 void MultiPaxosAmcast::disseminate(Context& ctx, const MulticastMessage& msg) {
-  std::uint64_t copies = 0;
+  body_dests_.clear();
   for (GroupId g : msg.dst) {
-    for (NodeId n : ctx.membership().members(g)) {
-      if (n == ctx.self()) continue;
-      ctx.send(n, Message{MpBody{msg}});
-      ++copies;
-    }
+    const auto& members = ctx.membership().members(g);
+    body_dests_.insert(body_dests_.end(), members.begin(), members.end());
   }
+  std::erase(body_dests_, ctx.self());
+  const std::uint64_t copies = body_dests_.size();
+  ctx.send_to_nodes(body_dests_, Message{MpBody{msg}});
   if (cfg_.my_group != kNoGroup && addressed_to(msg, cfg_.my_group)) {
     store_body(ctx, msg);
   }

@@ -129,6 +129,7 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   // a bounded FIFO of already-delivered bodies kept to serve pulls.
   std::unordered_map<MsgId, MulticastMessage> bodies_;
   std::deque<MsgId> retained_;
+  std::vector<NodeId> body_dests_;  ///< disseminate's reused fan-out list
 
   // Id mode: decided records addressed to my_group, in decision order,
   // whose delivery stalls until the head's body is present. Each keeps the

@@ -110,6 +110,9 @@ class GroupConsensus {
 
   Config config_;
   NodeId self_;
+  /// Members without self, the catch-up fan-out. Built on the first poll,
+  /// so constructing a node allocates nothing for it.
+  std::vector<NodeId> peers_;
   Context* ctx_ = nullptr;  ///< bound at on_start; contexts outlive processes
   bool catch_up_armed_ = false;  ///< exactly one catch-up chain pending
   bool recovered_from_storage_ = false;  ///< fresh instance fed by restore_durable

@@ -52,6 +52,9 @@ class LeaderElector {
   void advance_epoch(Context& ctx, std::uint64_t epoch);
 
   Config config_;
+  /// Members without self, the heartbeat fan-out. Built on the first
+  /// heartbeat, so constructing a node allocates nothing for it.
+  std::vector<NodeId> peers_;
   std::uint64_t epoch_ = 0;
   Time last_heard_ = 0;
   ChangeFn on_change_;

@@ -164,6 +164,9 @@ class RepairCoordinator {
 
   Config cfg_;
   Hooks hooks_;
+  /// Learners without self, the announce fan-out. Built on the first
+  /// announce, so constructing a node allocates nothing for it.
+  std::vector<NodeId> peers_;
   bool announce_armed_ = false;
   bool answer_due_ = false;  ///< a peer's announce brought news: reply
 

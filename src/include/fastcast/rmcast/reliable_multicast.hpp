@@ -15,8 +15,10 @@
 /// Properties provided:
 ///   * validity / integrity — a message multicast by a correct origin is
 ///     delivered exactly once by every correct destination process;
-///   * FIFO order — per (origin, destination) sequence numbers with a
-///     holdback queue;
+///   * FIFO order — per (origin, destination) sequence numbers. A frame
+///     that arrives in order is delivered straight from the arriving
+///     message; only one that arrives after a gap is copied into a
+///     holdback queue, and drains once the gap fills;
 ///   * non-uniform agreement — optional relaying: when a process
 ///     r-delivers a copy it can forward the remaining copies, so a
 ///     destination still delivers if the origin crashed mid-multicast.
@@ -88,7 +90,8 @@ class ReliableMulticast {
  private:
   struct OriginState {
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, RmData> holdback;  // seq -> frame
+    /// seq -> frame that arrived after a gap; every key > next_expected.
+    std::map<std::uint64_t, RmData> holdback;
   };
 
   void on_data(Context& ctx, NodeId from, const RmData& data);

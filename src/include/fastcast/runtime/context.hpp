@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "fastcast/common/rng.hpp"
 #include "fastcast/common/time.hpp"
@@ -56,6 +57,18 @@ class Context {
     send(to, static_cast<const Message&>(msg));
   }
 
+  /// Sends one message to every node in `to` — the fan-out of a proposer's
+  /// P1a/P2a, an acceptor's P2b, a heartbeat or an announce. The message is
+  /// immutable once handed over, so a context may share one object among
+  /// all destinations: the simulator queues N entries pointing at one
+  /// shared Message, each still charged, dropped and filtered on its own.
+  /// The default sends each destination the same const object, so a
+  /// context that serializes on send (TCP) encodes from it with no
+  /// per-destination copy.
+  virtual void send_to_nodes(const std::vector<NodeId>& to, Message&& msg) {
+    for (NodeId n : to) send(n, msg);
+  }
+
   /// Schedules `cb` to run after `delay`. Returns an id for cancel_timer.
   virtual TimerId set_timer(Duration delay, std::function<void()> cb) = 0;
   virtual void cancel_timer(TimerId id) = 0;
@@ -69,14 +82,6 @@ class Context {
   // Convenience helpers -----------------------------------------------------
 
   GroupId my_group() const { return membership().group_of(self()); }
-
-  void send_to_group(GroupId g, const Message& msg) {
-    for (NodeId n : membership().members(g)) send(n, msg);
-  }
-
-  void send_to_nodes(const std::vector<NodeId>& nodes, const Message& msg) {
-    for (NodeId n : nodes) send(n, msg);
-  }
 
   // Observability -----------------------------------------------------------
 

@@ -77,10 +77,10 @@ void Acceptor::on_p2a(Context& ctx, NodeId from, const P2a& msg) {
         return st.log(storage::WalRecord::accept(group_, msg.instance,
                                                  msg.ballot, msg.value));
       },
-      [this](Context* c, const P2b& v) {
-        for (NodeId learner : learners_) c->send(learner, Message{v});
+      [this](Context* c, Message&& v) {
+        c->send_to_nodes(learners_, std::move(v));
       },
-      &ctx, std::move(vote));
+      &ctx, Message{std::move(vote)});
 }
 
 void Acceptor::on_p2b_request(Context& ctx, NodeId from, const P2bRequest& msg) {

@@ -215,10 +215,11 @@ void GroupConsensus::arm_catch_up(Context& ctx) {
     // replay the same instances once per acceptor. The chain keeps ticking
     // and polls the tail once the transfer ends.
     if (!repair_.transfer_active()) {
-      const P2bRequest req{config_.group, next};
-      for (NodeId member : config_.members) {
-        if (member != self_) ctx.send(member, Message{req});
+      if (peers_.empty()) {
+        peers_ = config_.members;
+        std::erase(peers_, self_);
       }
+      ctx.send_to_nodes(peers_, Message{P2bRequest{config_.group, next}});
     }
     arm_catch_up(ctx);
   });

@@ -27,10 +27,12 @@ void LeaderElector::arm_heartbeat(Context& ctx) {
   ctx.set_timer(config_.heartbeat_interval, [this, &ctx] {
     hb_armed_ = false;
     if (!is_self_leader(ctx)) return;  // demoted meanwhile; chain ends here
-    FdHeartbeat hb{config_.group, ctx.self(), epoch_};
-    for (NodeId n : config_.members) {
-      if (n != ctx.self()) ctx.send(n, Message{hb});
+    if (peers_.empty()) {
+      peers_ = config_.members;
+      std::erase(peers_, ctx.self());
     }
+    ctx.send_to_nodes(peers_,
+                      Message{FdHeartbeat{config_.group, ctx.self(), epoch_}});
     arm_heartbeat(ctx);
   });
 }

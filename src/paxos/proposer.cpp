@@ -37,10 +37,10 @@ void Proposer::start_leadership(Context& ctx, std::uint32_t round,
       [&](storage::NodeStorage& st) {
         return st.log(storage::WalRecord::promise(config_.group, ballot_));
       },
-      [this](Context* c, const P1a& prepare) {
-        for (NodeId a : config_.acceptors) c->send(a, Message{prepare});
+      [this](Context* c, Message&& prepare) {
+        c->send_to_nodes(config_.acceptors, std::move(prepare));
       },
-      &ctx, P1a{config_.group, ballot_, prepare_from_});
+      &ctx, Message{P1a{config_.group, ballot_, prepare_from_}});
   arm_retry(ctx);
 }
 
@@ -109,7 +109,7 @@ void Proposer::open_instance(Context& ctx, InstanceId inst,
     o->metrics.histogram("paxos.pipeline.value_bytes")
         .observe(static_cast<std::int64_t>(accept.value.size()));
   }
-  for (NodeId a : config_.acceptors) ctx.send(a, Message{accept});
+  ctx.send_to_nodes(config_.acceptors, Message{std::move(accept)});
   arm_retry(ctx);
 }
 
@@ -147,12 +147,12 @@ void Proposer::arm_retry(Context& ctx) {
     retry_armed_ = false;
     if (phase_ == Phase::kPrepare &&
         storage::is_durable(ctx.storage(), ballot_lsn_)) {
-      P1a prepare{config_.group, ballot_, prepare_from_};
-      for (NodeId a : config_.acceptors) ctx.send(a, Message{prepare});
+      ctx.send_to_nodes(config_.acceptors,
+                        Message{P1a{config_.group, ballot_, prepare_from_}});
     } else if (phase_ == Phase::kSteady) {
       for (const auto& [inst, value] : in_flight_) {
-        P2a accept{config_.group, ballot_, inst, value};
-        for (NodeId a : config_.acceptors) ctx.send(a, Message{accept});
+        ctx.send_to_nodes(config_.acceptors,
+                          Message{P2a{config_.group, ballot_, inst, value}});
       }
     }
     if (!config_.reliable_links) arm_retry(ctx);

@@ -128,11 +128,13 @@ bool RepairCoordinator::announce(Context& ctx) {
   const bool speak = moved || std::exchange(answer_due_, false);
   if (speak) {
     self_mark = mine;
-    const WatermarkAnnounce ann{cfg_.group, cfg_.self, durable_settled_,
-                                frontier};
-    for (NodeId peer : cfg_.learners) {
-      if (peer != cfg_.self) ctx.send(peer, Message{ann});
+    if (peers_.empty()) {
+      peers_ = cfg_.learners;
+      std::erase(peers_, cfg_.self);
     }
+    ctx.send_to_nodes(peers_, Message{WatermarkAnnounce{
+                                  cfg_.group, cfg_.self, durable_settled_,
+                                  frontier}});
   }
 
   // A stalled transfer (server crashed, chunk corrupted away) would

@@ -66,14 +66,21 @@ void ReliableMulticast::multicast(Context& ctx, const std::vector<GroupId>& dst,
         }
         return last;
       },
-      [](Context* c, const RmData& f) {
-        for (std::size_t i = 0; i < f.dest_nodes.size(); ++i) {
+      [](Context* c, RmData&& f) {
+        // Each copy carries its own seq on the wire, so all but the last
+        // destination get their own frame; the last one takes it by move.
+        const std::size_t last = f.dest_nodes.size() - 1;
+        for (std::size_t i = 0; i < last; ++i) {
           RmData copy = f;
           copy.seq = f.dest_seqs[i];
           c->send(f.dest_nodes[i], Message{std::move(copy)});
         }
+        f.seq = f.dest_seqs[last];
+        const NodeId to = f.dest_nodes[last];
+        c->send(to, Message{std::move(f)});
       },
-      &ctx, frame);
+      // Lossy links stage `frame` below, so the send path gets a copy.
+      &ctx, lossy ? RmData{frame} : std::move(frame));
   // The staged copies carry the same gate, so the retransmit timer cannot
   // leak a frame before its seq advance is durable either.
   if (lossy) {
@@ -168,47 +175,57 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
   }
 
   if (data.seq < origin.next_expected) return;  // duplicate
-  if (origin.holdback.contains(data.seq)) return;
-
-  origin.holdback.emplace(data.seq, data);
-  if (auto* o = ctx.obs()) {
-    o->metrics.gauge("rmcast.holdback_max")
-        .record_max(static_cast<std::int64_t>(holdback_size()));
+  if (data.seq > origin.next_expected) {
+    // Arrived after a gap: hold it back until the gap fills.
+    if (!origin.holdback.try_emplace(data.seq, data).second) return;
+    if (auto* o = ctx.obs()) {
+      o->metrics.gauge("rmcast.holdback_max")
+          .record_max(static_cast<std::int64_t>(holdback_size()));
+    }
+    return;
   }
 
-  // Drain contiguous prefix in FIFO order.
-  std::vector<RmData> drained;
-  while (true) {
-    auto it = origin.holdback.find(origin.next_expected);
-    if (it == origin.holdback.end()) break;
-    drained.push_back(std::move(it->second));
-    origin.holdback.erase(it);
+  // In order: the arriving frame is delivered as it stands, followed by
+  // whatever held-back frames it makes contiguous. The holdback map only
+  // ever holds seqs above next_expected, so its first entry is the only
+  // candidate. `origin` stays valid across the upcalls: references into an
+  // unordered_map survive rehashing, and nothing erases from origins_.
+  ++origin.next_expected;
+  auto pop_contiguous = [&origin] {
+    auto it = origin.holdback.begin();
+    if (it == origin.holdback.end() || it->first != origin.next_expected) {
+      return decltype(origin.holdback)::node_type{};
+    }
     ++origin.next_expected;
-  }
-  if (drained.empty()) return;
+    return origin.holdback.extract(it);
+  };
 
   if (st == nullptr) {
-    for (const RmData& frame : drained) deliver_frame(ctx, frame);
+    deliver_frame(ctx, data);
+    while (auto held = pop_contiguous()) deliver_frame(ctx, held.mapped());
     return;
   }
 
   // Log the new FIFO floor and gate every externalization — relays, the
   // delivery upcall (whose downstream effects include sends), and the ack
   // for the just-arrived frame — on its commit. If the node dies first the
-  // closure is dropped, the origin retransmits, and replay re-drains.
-  // Note: `origin` may be invalidated by upcalls re-entering origins_, so
-  // nothing below touches it.
-  const std::uint64_t next_expected = origins_.at(data.origin).next_expected;
-  const bool ack_arrived = !config_.reliable_links && data.seq < next_expected;
+  // closure is dropped, the origin retransmits, and replay re-drains. The
+  // closure outlives this handler, so it keeps its own copy of every frame.
+  std::vector<RmData> drained;
+  drained.push_back(data);
+  while (auto held = pop_contiguous()) {
+    drained.push_back(std::move(held.mapped()));
+  }
+  const std::uint64_t next_expected = origin.next_expected;
   storage::log_then(
       st,
       [&](storage::NodeStorage& s) {
         return s.log(storage::WalRecord::rm_progress(data.origin, next_expected));
       },
-      [this, ack_arrived](Context* c, NodeId to, const RmAck& ack,
-                          const std::vector<RmData>& frames) {
+      [this](Context* c, NodeId to, const RmAck& ack,
+             const std::vector<RmData>& frames) {
         for (const RmData& frame : frames) deliver_frame(*c, frame);
-        if (ack_arrived) c->send(to, Message{ack});
+        if (!config_.reliable_links) c->send(to, Message{ack});
       },
       &ctx, from, RmAck{data.origin, data.seq}, std::move(drained));
 }

@@ -23,6 +23,7 @@ class Simulator::NodeContext final : public Context {
 
   void send(NodeId to, const Message& msg) override;
   void send(NodeId to, Message&& msg) override;
+  void send_to_nodes(const std::vector<NodeId>& to, Message&& msg) override;
   TimerId set_timer(Duration delay, std::function<void()> cb) override;
   void cancel_timer(TimerId id) override;
 
@@ -82,6 +83,22 @@ void Simulator::NodeContext::send(NodeId to, Message&& msg) {
   // a Message's payload carries vectors/strings — adopting it skips the
   // deep copy the const& path pays.
   pending_.push_back({to, std::make_shared<const Message>(std::move(msg))});
+}
+
+void Simulator::NodeContext::send_to_nodes(const std::vector<NodeId>& to,
+                                           Message&& msg) {
+  if (sim_->config_.serialize_messages) {
+    // Every copy takes its own codec round trip, as N sends would.
+    Context::send_to_nodes(to, std::move(msg));
+    return;
+  }
+  // One immutable Message shared by every in-flight copy; each pending
+  // entry is still charged, dropped and filtered on its own in flush_sends.
+  auto shared = std::make_shared<const Message>(std::move(msg));
+  for (NodeId n : to) {
+    FC_ASSERT(n < sim_->membership_.node_count());
+    pending_.push_back({n, shared});
+  }
 }
 
 TimerId Simulator::NodeContext::set_timer(Duration delay, std::function<void()> cb) {

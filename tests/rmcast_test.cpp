@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fastcast/obs/observability.hpp"
 #include "fastcast/rmcast/reliable_multicast.hpp"
 #include "fastcast/sim/simulator.hpp"
 
@@ -223,6 +224,68 @@ TEST(ReliableMulticast, SelfDeliveryWhenOriginIsDestination) {
   f.sim.run_to_idle();
   ASSERT_EQ(f.nodes[0]->deliveries.size(), 1u);
   EXPECT_EQ(f.nodes[0]->deliveries[0].first, 0u);
+}
+
+TEST(ReliableMulticast, InOrderArrivalsSkipTheHoldback) {
+  // Node 6 hand-sends origin-6 frames to node 0 in a chosen order (constant
+  // latency, so each link is FIFO): seqs 1-2 in order, then 4-5 over a gap,
+  // then the missing 3, then a stale copy of 4.
+  Fixture f;
+  obs::Observability obs;
+  f.sim.set_observability(&obs);
+  auto frame = [](std::uint64_t seq) {
+    RmData d;
+    d.origin = 6;
+    d.seq = seq;
+    d.dst_groups = {0};
+    d.dest_nodes = {0};
+    d.dest_seqs = {seq};
+    d.inner = RmNode::payload(6, static_cast<std::uint32_t>(seq));
+    return Message{std::move(d)};
+  };
+  f.nodes[6]->start_hook = [frame](Context& ctx) {
+    auto send_at = [&ctx, frame](Duration at, std::vector<std::uint64_t> seqs) {
+      ctx.set_timer(at, [&ctx, frame, seqs] {
+        for (std::uint64_t seq : seqs) ctx.send(0, frame(seq));
+      });
+    };
+    send_at(0, {1, 2});
+    send_at(milliseconds(5), {4, 5});
+    send_at(milliseconds(10), {3});
+    send_at(milliseconds(15), {4});
+  };
+
+  ReliableMulticast& rm = f.nodes[0]->rm;
+  std::vector<std::size_t> holdback_at_delivery;
+  std::vector<MsgId> delivered;
+  rm.set_deliver([&](Context&, NodeId, const AmcastPayload& p) {
+    holdback_at_delivery.push_back(rm.holdback_size());
+    delivered.push_back(std::get<AmStart>(p).msg.id);
+  });
+  const auto& holdback_max = obs.metrics.gauge("rmcast.holdback_max");
+  f.sim.start();
+
+  f.sim.run_until(milliseconds(4));
+  EXPECT_EQ(delivered, (std::vector<MsgId>{make_msg_id(6, 1), make_msg_id(6, 2)}));
+  EXPECT_EQ(holdback_at_delivery, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(holdback_max.value(), 0);  // in-order traffic is never held
+
+  f.sim.run_until(milliseconds(9));
+  EXPECT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(rm.holdback_size(), 2u);
+  EXPECT_EQ(holdback_max.value(), 2);
+
+  f.sim.run_until(milliseconds(14));
+  EXPECT_EQ(delivered, (std::vector<MsgId>{make_msg_id(6, 1), make_msg_id(6, 2),
+                                           make_msg_id(6, 3), make_msg_id(6, 4),
+                                           make_msg_id(6, 5)}));
+  EXPECT_EQ(rm.holdback_size(), 0u);
+  EXPECT_EQ(rm.next_expected_from(6), 6u);
+
+  f.sim.run_to_idle();
+  EXPECT_EQ(delivered.size(), 5u);  // the stale copy of 4 is ignored
+  EXPECT_EQ(rm.holdback_size(), 0u);
+  EXPECT_EQ(rm.next_expected_from(6), 6u);
 }
 
 TEST(ReliableMulticast, HoldbackBuffersOutOfOrderArrival) {

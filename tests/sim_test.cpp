@@ -308,6 +308,128 @@ TEST(Simulator, SerializeMessagesModeRoundTripsEverySend) {
   EXPECT_EQ(rec->received.size(), 1u);
 }
 
+/// Records the address and arrival time of every message it receives.
+class AddressRecorder : public Process {
+ public:
+  void on_message(Context& ctx, NodeId, const Message& msg) override {
+    std::vector<std::byte> bytes;
+    encode_message_into(msg, bytes);
+    seen.push_back({&msg, ctx.now(), std::move(bytes)});
+  }
+  struct Seen {
+    const Message* addr;
+    Time at;
+    std::vector<std::byte> bytes;  ///< the message as the codec encodes it
+  };
+  std::vector<Seen> seen;
+};
+
+TEST(Simulator, SendToNodesSharesOneMessage) {
+  // Node 0 sends one P2a to nodes 1-3 twice, at 0 and at 10 ms, either as
+  // one send_to_nodes fan-out or as three single sends. Everything the
+  // simulator charges or draws per unicast must come out the same.
+  struct Outcome {
+    std::vector<std::vector<Time>> arrivals;  // per receiver
+    std::vector<std::vector<const Message*>> addrs;
+    std::vector<Time> sender_free;  // when the sending handler's CPU ended
+    std::uint64_t dropped = 0;
+    std::vector<std::vector<std::byte>> payloads;
+  };
+  auto run = [](bool fan_out, SimConfig cfg, bool partition_node2) {
+    cfg.cpu = CpuModel{microseconds(5), microseconds(3), 2};
+    Membership m;
+    m.add_group(4, {0, 0, 0, 0});
+    Simulator sim(m, std::make_unique<ConstantLatency>(milliseconds(1), 0.2),
+                  cfg);
+    Outcome out;
+    auto send = [fan_out, &out](Context& ctx) {
+      const std::vector<NodeId> to{1, 2, 3};
+      P2a accept{0, Ballot{1, 0}, 7,
+                 std::vector<std::byte>(100, std::byte{0x5a})};
+      if (fan_out) {
+        ctx.send_to_nodes(to, Message{std::move(accept)});
+      } else {
+        for (NodeId n : to) ctx.send(n, Message{accept});
+      }
+      // Runs once the sending handler's CPU slice (and so busy_until) ends.
+      ctx.set_timer(0, [&out, &ctx] { out.sender_free.push_back(ctx.now()); });
+    };
+    sim.add_process(0, std::make_shared<Starter>([send](Context& ctx) {
+      send(ctx);
+      ctx.set_timer(milliseconds(10), [send, &ctx] { send(ctx); });
+    }));
+    std::vector<std::shared_ptr<AddressRecorder>> recs;
+    for (NodeId n = 1; n <= 3; ++n) {
+      recs.push_back(std::make_shared<AddressRecorder>());
+      sim.add_process(n, recs.back());
+    }
+    if (partition_node2) {
+      sim.set_link_filter([](NodeId, NodeId to, Time) { return to != 2; });
+    }
+    sim.start();
+    sim.run_to_idle();
+    for (const auto& rec : recs) {
+      out.arrivals.emplace_back();
+      out.addrs.emplace_back();
+      for (const auto& s : rec->seen) {
+        out.arrivals.back().push_back(s.at);
+        out.addrs.back().push_back(s.addr);
+        out.payloads.push_back(s.bytes);
+      }
+    }
+    out.dropped = sim.messages_dropped();
+    return out;
+  };
+
+  // Timing: per_send, per_byte and the latency draws apply per copy.
+  {
+    const Outcome shared = run(true, SimConfig{}, false);
+    const Outcome single = run(false, SimConfig{}, false);
+    EXPECT_EQ(shared.arrivals, single.arrivals);
+    EXPECT_EQ(shared.sender_free, single.sender_free);
+    ASSERT_EQ(shared.sender_free.size(), 2u);
+    // per_message + 3 x (per_send + per_byte x wire bytes): every copy
+    // is charged, not just the one shared object.
+    const Message probe{P2a{0, Ballot{1, 0}, 7,
+                            std::vector<std::byte>(100, std::byte{0x5a})}};
+    const auto per_copy = microseconds(3) +
+                          2 * static_cast<Duration>(approx_wire_bytes(probe));
+    EXPECT_EQ(shared.sender_free[0], microseconds(5) + 3 * per_copy);
+    // Every receiver of one fan-out sees the same immutable object.
+    for (std::size_t round = 0; round < 2; ++round) {
+      EXPECT_EQ(shared.addrs[0][round], shared.addrs[1][round]);
+      EXPECT_EQ(shared.addrs[0][round], shared.addrs[2][round]);
+    }
+    EXPECT_EQ(shared.payloads, single.payloads);
+  }
+
+  // Drops and the link filter apply to each copy on its own: with the same
+  // network seed both forms lose the same copies, and node 2 gets none.
+  {
+    SimConfig lossy;
+    lossy.seed = 11;
+    lossy.drop_probability = 0.3;
+    const Outcome shared = run(true, lossy, true);
+    const Outcome single = run(false, lossy, true);
+    EXPECT_EQ(shared.arrivals, single.arrivals);
+    EXPECT_EQ(shared.dropped, single.dropped);
+    EXPECT_TRUE(shared.arrivals[1].empty());
+    EXPECT_GE(shared.dropped, 2u);
+  }
+
+  // Serialize mode round-trips every copy through the codec separately.
+  {
+    SimConfig serialize;
+    serialize.serialize_messages = true;
+    const Outcome shared = run(true, serialize, false);
+    const Outcome single = run(false, serialize, false);
+    EXPECT_EQ(shared.arrivals, single.arrivals);
+    EXPECT_EQ(shared.payloads, single.payloads);
+    EXPECT_NE(shared.addrs[0][0], shared.addrs[1][0]);
+    EXPECT_NE(shared.addrs[1][0], shared.addrs[2][0]);
+  }
+}
+
 TEST(Simulator, DeterministicAcrossRuns) {
   auto run = [](std::uint64_t seed) {
     SimConfig cfg;
