@@ -42,17 +42,32 @@ MultiPaxosAmcast::MultiPaxosAmcast(Config config, NodeId self)
                                : pending_order_.front().instance,
                            0};
   });
+  if (cfg_.ordering == Config::Ordering::kIds) {
+    cons_.set_on_prune(
+        [this](Context& ctx, InstanceId floor) { on_prune(ctx, floor); });
+  }
 }
 
 void MultiPaxosAmcast::restore_durable(const storage::DurableState& durable) {
   const auto it = durable.groups.find(cfg_.consensus.group);
-  cons_.restore_durable(it == durable.groups.end() ? nullptr : &it->second);
+  const storage::DurableState::GroupState* group =
+      it == durable.groups.end() ? nullptr : &it->second;
+  cons_.restore_durable(group);
   // Re-decided batches replayed by consensus catch-up must not re-deliver.
   delivered_.insert(durable.delivered.begin(), durable.delivered.end());
   if (cfg_.ordering != Config::Ordering::kIds) return;
   // Id mode logs every body on arrival (store_body): a decided record may
   // still reference it after the leader's retransmissions stopped, so the
   // WAL is the only place the payload survives a crash before delivery.
+  // A body this node will not deliver retires behind everything its group
+  // state shows ordered; a decision relearned later may move that up.
+  InstanceId bound = 0;
+  if (group != nullptr) {
+    bound = group->settled;
+    if (!group->accepted.empty()) {
+      bound = std::max(bound, group->accepted.rbegin()->first + 1);
+    }
+  }
   for (const auto& [mid, encoded] : durable.bodies) {
     MulticastMessage m;
     if (!storage::decode_body(encoded, m)) continue;  // guarded by WAL CRC
@@ -60,8 +75,8 @@ void MultiPaxosAmcast::restore_durable(const storage::DurableState& durable) {
     const bool deliverable_here = cfg_.my_group != kNoGroup &&
                                   addressed_to(m, cfg_.my_group) &&
                                   !delivered_.contains(id);
-    if (bodies_.emplace(id, std::move(m)).second && !deliverable_here) {
-      retain_delivered(id);  // serve pulls, but bounded
+    if (bodies_.emplace(id, Body{std::move(m)}).second && !deliverable_here) {
+      retire_after(id, bound);
     }
   }
 }
@@ -84,7 +99,7 @@ bool MultiPaxosAmcast::handle(Context& ctx, NodeId from, const Message& msg) {
   if (const auto* req = std::get_if<MpBodyRequest>(&msg.payload)) {
     auto it = bodies_.find(req->mid);
     if (it != bodies_.end()) {
-      ctx.send(from, Message{MpBody{it->second}});
+      ctx.send(from, Message{MpBody{it->second.msg}});
       if (auto* o = ctx.obs()) {
         o->metrics.counter("multipaxos.body_pulls_served").inc();
       }
@@ -203,18 +218,17 @@ void MultiPaxosAmcast::disseminate(Context& ctx, const MulticastMessage& msg) {
 
 void MultiPaxosAmcast::store_body(Context& ctx, const MulticastMessage& msg) {
   if (delivered_.contains(msg.id)) return;
-  if (!bodies_.emplace(msg.id, msg).second) return;
+  if (!bodies_.emplace(msg.id, Body{msg}).second) return;
+  if (auto* o = ctx.obs()) {
+    o->metrics.gauge("multipaxos.bodies_held")
+        .record_max(static_cast<std::int64_t>(bodies_.size()));
+  }
   if (storage::NodeStorage* st = ctx.storage()) {
     // Input, not externalization — logged unconditionally, no durability
     // gate. Once the leader stops re-sending, this WAL record is the only
     // copy a restarted node can still deliver (or serve to a peer).
     st->log(storage::WalRecord::body(msg));
     st->commit();
-  }
-  if (cfg_.my_group == kNoGroup || !addressed_to(msg, cfg_.my_group)) {
-    // Never delivered here (orderer / foreign destination): bound the copy
-    // through the retention ring immediately.
-    retain_delivered(msg.id);
   }
 }
 
@@ -322,8 +336,12 @@ void MultiPaxosAmcast::on_decide(Context& ctx, InstanceId inst,
         if (auto* o = ctx.obs()) {
           o->metrics.counter("multipaxos.ordered").inc();
         }
-        if (cfg_.my_group == kNoGroup) continue;  // pure orderer
-        if (!addressed_to(rec, cfg_.my_group)) continue;
+        if (cfg_.my_group == kNoGroup || !addressed_to(rec, cfg_.my_group)) {
+          // Never delivered here (orderer, foreign destination): a copy
+          // this node holds only serves pulls until the floor passes.
+          retire_after(rec.mid, inst);
+          continue;
+        }
         if (delivered_.contains(rec.mid)) continue;  // re-proposed duplicate
         if (!pending_set_.insert(rec.mid).second) continue;
         pending_order_.push_back(Pending{rec, inst});
@@ -352,15 +370,18 @@ void MultiPaxosAmcast::drain_pending(Context& ctx) {
   bool progressed = false;
   while (!pending_order_.empty()) {
     const MsgId mid = pending_order_.front().rec.mid;
+    const InstanceId inst = pending_order_.front().instance;
     auto it = bodies_.find(mid);
     if (it == bodies_.end()) break;  // body still in flight; stall
-    const MulticastMessage body = it->second;
     pending_order_.pop_front();
     pending_set_.erase(mid);
     delivered_.insert(mid);
-    retain_delivered(mid);
+    retire_after(mid, inst);
     progressed = true;
-    deliver(ctx, body);
+    // No copy: the body stays in bodies_ until the prune floor passes
+    // `inst`, and only a decision or an announce (never a delivery) moves
+    // the floor.
+    deliver(ctx, it->second.msg);
   }
   if (progressed) pull_backoff_ = 1;
   if (!pending_order_.empty()) {
@@ -372,19 +393,35 @@ void MultiPaxosAmcast::drain_pending(Context& ctx) {
   }
 }
 
-void MultiPaxosAmcast::retain_delivered(MsgId mid) {
-  retained_.push_back(mid);
-  while (retained_.size() > kRetainBodies) {
-    const MsgId old = retained_.front();
-    bodies_.erase(old);
-    retained_.pop_front();
+// Tags a held body with the instance that ordered it. A later decision
+// (a re-proposed duplicate) moves the tag up and leaves the older FIFO entry
+// stale.
+void MultiPaxosAmcast::retire_after(MsgId mid, InstanceId inst) {
+  auto it = bodies_.find(mid);
+  if (it == bodies_.end()) return;
+  InstanceId& retire = it->second.retire;
+  if (retire != kUntagged && retire >= inst) return;
+  retire = inst;
+  retiring_.push_back(Retiring{inst, mid});
+}
+
+void MultiPaxosAmcast::on_prune(Context& ctx, InstanceId floor) {
+  // Tags arrive in decision order, so the FIFO is sorted except after a
+  // restart: a restored body's bound may exceed decisions relearned after
+  // it, which then wait behind it until the floor passes the bound.
+  while (!retiring_.empty() && retiring_.front().instance < floor) {
+    const Retiring r = retiring_.front();
+    retiring_.pop_front();
+    auto it = bodies_.find(r.mid);
+    if (it == bodies_.end() || it->second.retire != r.instance) continue;
+    bodies_.erase(it);
     // A delivered body left the durable state with its kDelivered record;
-    // a foreign one (orderer, other destinations) is dropped explicitly, or
-    // every snapshot would carry it forever. Advisory: no commit. Bodies
-    // evicted while restoring (no context yet) stay until the next restart.
-    if (ctx_ != nullptr && !delivered_.contains(old)) {
-      if (storage::NodeStorage* st = ctx_->storage()) {
-        st->log(storage::WalRecord::drop_body(old));
+    // one never delivered here (orderer, foreign destination) is dropped
+    // explicitly, or every snapshot would carry it forever. Advisory: no
+    // commit.
+    if (!delivered_.contains(r.mid)) {
+      if (storage::NodeStorage* st = ctx.storage()) {
+        st->log(storage::WalRecord::drop_body(r.mid));
       }
     }
   }
@@ -399,8 +436,8 @@ void MultiPaxosAmcast::arm_body_pull(Context& ctx) {
     const MpIdRecord& head = pending_order_.front().rec;
     // Candidate holders: the ordering members (the leader stored a copy at
     // submit time) and the other destination replicas (any that delivered
-    // still retains the body for a while). Rotate so a crashed candidate
-    // does not absorb every request.
+    // keeps the body until every learner has settled past it). Rotate so a
+    // crashed candidate does not absorb every request.
     std::vector<NodeId> candidates;
     for (NodeId n : cfg_.consensus.members) {
       if (n != ctx.self()) candidates.push_back(n);

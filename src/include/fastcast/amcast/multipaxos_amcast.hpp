@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <set>
 #include <unordered_map>
 
@@ -32,7 +33,10 @@
 ///     queue head until its body arrives; lost bodies are recovered with
 ///     pull requests (MpBodyRequest) against retained copies, and — when
 ///     durability is on — bodies are WAL-logged on arrival so a restart
-///     keeps every payload a decided record may still reference.
+///     keeps every payload a decided record may still reference. Every
+///     holder keeps a body until the ordering group's prune floor passes
+///     the instance that ordered it: below the floor no learner can still
+///     need to pull it.
 /// Ordering safety is identical in both modes: only what flows through
 /// consensus changes.
 
@@ -66,10 +70,6 @@ class MultiPaxosAmcast final : public AtomicMulticast {
     flow::Options flow;
   };
 
-  /// Id mode: delivered and foreign bodies retained (FIFO) to serve peers'
-  /// pull requests before being dropped.
-  static constexpr std::size_t kRetainBodies = 8192;
-
   MultiPaxosAmcast(Config config, NodeId self);
 
   void on_start(Context& ctx) override;
@@ -81,7 +81,7 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   std::uint64_t ordered_count() const { return ordered_count_; }
   /// Id mode: decided records still waiting for their body (tests).
   std::size_t stalled_deliveries() const { return pending_order_.size(); }
-  /// Id mode: bodies currently held (staged + retained) (tests).
+  /// Id mode: bodies currently held, ordered or not (tests).
   std::size_t body_store_size() const { return bodies_.size(); }
   /// Admission controller (tests / diagnostics).
   const flow::OverloadController& overload() const { return overload_; }
@@ -98,7 +98,8 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   void store_body(Context& ctx, const MulticastMessage& msg);
   void on_body(Context& ctx, const MulticastMessage& msg);
   void drain_pending(Context& ctx);
-  void retain_delivered(MsgId mid);
+  void retire_after(MsgId mid, InstanceId inst);
+  void on_prune(Context& ctx, InstanceId floor);
   void arm_batch_timer(Context& ctx);
   Duration effective_batch_delay() const;
   void arm_body_pull(Context& ctx);
@@ -125,10 +126,23 @@ class MultiPaxosAmcast final : public AtomicMulticast {
   Time first_staged_at_ = 0;
   bool batch_timer_armed_ = false;
 
-  // Id mode: body store. Holds bodies awaiting their ordering record plus
-  // a bounded FIFO of already-delivered bodies kept to serve pulls.
-  std::unordered_map<MsgId, MulticastMessage> bodies_;
-  std::deque<MsgId> retained_;
+  // Id mode: body store. A body is held from its arrival until the
+  // ordering group's prune floor passes `retire`, the instance that
+  // ordered it here (delivered it, or decided it on a node that does not
+  // deliver it). Until that instance is known the body stays.
+  static constexpr InstanceId kUntagged = std::numeric_limits<InstanceId>::max();
+  struct Body {
+    MulticastMessage msg;
+    InstanceId retire = kUntagged;
+  };
+  std::unordered_map<MsgId, Body> bodies_;
+  // Tagged bodies in tagging order. A re-tag leaves its old entry behind;
+  // on_prune skips an entry whose instance no longer matches its body's.
+  struct Retiring {
+    InstanceId instance = 0;
+    MsgId mid = 0;
+  };
+  std::deque<Retiring> retiring_;
   std::vector<NodeId> body_dests_;  ///< disseminate's reused fan-out list
 
   // Id mode: decided records addressed to my_group, in decision order,

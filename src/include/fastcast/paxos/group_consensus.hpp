@@ -81,6 +81,13 @@ class GroupConsensus {
   using LeaderChangeFn = std::function<void(Context&, NodeId leader)>;
   void set_on_leader_change(LeaderChangeFn fn) { on_leader_change_ = std::move(fn); }
 
+  /// Protocol-layer prune hook: runs on every learner, member or not, each
+  /// time the repair layer applies a step of the group's prune floor (after
+  /// the acceptor dropped its entries below it). Below `floor` no learner
+  /// can need a decided instance again, nor anything only it referenced.
+  using PruneFn = std::function<void(Context&, InstanceId floor)>;
+  void set_on_prune(PruneFn fn) { on_prune_ = std::move(fn); }
+
   /// Protocol-layer settled view for the repair subsystem (frontier whose
   /// replay is a provable no-op + the clock as of that frontier). Unset,
   /// the learner's delivery cursor is used with a zero clock — correct
@@ -122,6 +129,7 @@ class GroupConsensus {
   InstanceId catch_up_last_frontier_ = 0;   ///< progress marker for backoff
   InstanceId more_polled_ = ~InstanceId{0}; ///< last P2bMore-triggered poll
   LeaderChangeFn on_leader_change_;
+  PruneFn on_prune_;
   std::function<repair::Settled()> settled_provider_;
   Acceptor acceptor_;
   Learner learner_;

@@ -107,8 +107,9 @@ repair::RepairCoordinator::Hooks GroupConsensus::repair_hooks() {
             return learner_.force_decided(ctx, inst, value);
           },
       .prune =
-          [this](Context&, InstanceId floor) {
+          [this](Context& ctx, InstanceId floor) {
             if (is_member(self_)) acceptor_.prune_below(floor);
+            if (on_prune_) on_prune_(ctx, floor);
           },
       .accepted =
           [this] {

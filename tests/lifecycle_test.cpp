@@ -4,7 +4,8 @@
 // START, a new leader's SEND-HARD resend, a decision that beats its START,
 // a restart's consensus replay) and check that none of them re-delivers,
 // stalls, leaves state behind or splits a group's hard clock. A soak test
-// checks that every per-message container stays flat as a run gets longer.
+// checks that every per-message container stays flat as a run gets longer;
+// a MultiPaxos id-mode soak does the same for its body stores.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <optional>
 #include <set>
 
+#include "fastcast/amcast/multipaxos_amcast.hpp"
 #include "fastcast/harness/experiment.hpp"
 
 namespace fastcast::harness {
@@ -318,6 +320,42 @@ TEST_P(Lifecycle, SoakKeepsEveryContainerFlat) {
   EXPECT_LE(ten.staged, one.staged + kSlack);
   EXPECT_LE(ten.durable_bodies, one.durable_bodies + kSlack);
   EXPECT_LE(ten.accepted, one.accepted + kSlack);
+}
+
+/// Peak bodies held by any MultiPaxos id-mode node, and peak bodies in any
+/// node's durable state, over a run of `length`.
+std::pair<std::int64_t, std::int64_t> id_mode_body_peaks(Duration length) {
+  ExperimentConfig cfg = two_group_config(Protocol::kMultiPaxos);
+  cfg.mp_ordering = ExperimentConfig::MpOrdering::kIds;
+  cfg.observe = true;
+  cfg.durability.durable = true;
+  Cluster cluster(cfg);
+  cluster.start();
+  cluster.stop_clients(length);
+  // The floor reaches the frontier within an announce tick or two of the
+  // last decision; its 64-instance steps then take a few more.
+  cluster.simulator().run_until(length + milliseconds(400));
+  for (NodeId n : cluster.deployment().membership.all_replicas()) {
+    auto& mp = dynamic_cast<MultiPaxosAmcast&>(cluster.replica(n).protocol());
+    EXPECT_EQ(mp.stalled_deliveries(), 0u) << "node " << n;
+    EXPECT_EQ(mp.body_store_size(), 0u) << "node " << n;
+  }
+  const obs::MetricsRegistry& reg = cluster.observability()->metrics;
+  return {reg.gauge_value("multipaxos.bodies_held"),
+          reg.gauge_value("storage.durable_bodies")};
+}
+
+// Id-mode MultiPaxos keeps a body on every holder until the ordering
+// group's prune floor passes it, so the body stores track the floor's lag
+// behind the frontier, not the run's length.
+TEST(MultiPaxosIdLifecycle, SoakKeepsBodiesFlat) {
+  const auto [held_one, durable_one] = id_mode_body_peaks(milliseconds(200));
+  const auto [held_ten, durable_ten] = id_mode_body_peaks(seconds(2));
+  ASSERT_GT(held_one, 0);
+  ASSERT_GT(durable_one, 0);
+  constexpr std::int64_t kSlack = 8;
+  EXPECT_LE(held_ten, held_one + kSlack);
+  EXPECT_LE(durable_ten, durable_one + kSlack);
 }
 
 INSTANTIATE_TEST_SUITE_P(Genuine, Lifecycle,
