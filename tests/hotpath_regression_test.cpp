@@ -503,7 +503,7 @@ TEST(DeliveryDeterminism, FastCastDurableBatchSeed42MatchesSeedTree) {
 }
 
 // Id mode logs every body on arrival and drops foreign ones from the
-// durable state once they leave the retention ring.
+// durable state once the ordering group's prune floor passes them.
 TEST(DeliveryDeterminism, MultiPaxosIdsDurableBatchSeed42MatchesSeedTree) {
   ExperimentConfig cfg = durable_fingerprint_config(Protocol::kMultiPaxos);
   cfg.mp_ordering = ExperimentConfig::MpOrdering::kIds;
@@ -511,7 +511,7 @@ TEST(DeliveryDeterminism, MultiPaxosIdsDurableBatchSeed42MatchesSeedTree) {
   cfg.mp_batch_delay = microseconds(200);
   const auto [count, hash] = delivery_fingerprint(cfg);
   EXPECT_EQ(count, 600u);
-  EXPECT_EQ(hash, 6008562889713381841ULL);
+  EXPECT_EQ(hash, 8281171442381473706ULL);
 }
 
 // ---------------------------------------------------------------------------
