@@ -48,8 +48,6 @@ double seconds_since(Clock::time_point t0) {
 Message hot_wire_message() {
   RmData rm;
   rm.origin = 3;
-  rm.seq = 4242;
-  rm.dst_groups = {0, 1};
   rm.dest_nodes = {0, 1, 2, 3, 4, 5};
   rm.dest_seqs = {100, 101, 102, 103, 104, 105};
   rm.inner = AmSendSoft{1, 987654, make_msg_id(3, 77), {0, 1}};

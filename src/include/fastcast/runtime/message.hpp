@@ -126,15 +126,13 @@ inline MsgId mid_of(const AmcastPayload& p) {
 // Reliable-multicast envelope.
 // ---------------------------------------------------------------------------
 
-/// One copy of a reliably-multicast message, addressed to a single
-/// destination process. `seq` is the per-(origin, destination) FIFO
-/// sequence number. `dest_seqs` lists the sequence numbers of all copies so
-/// that a relay can re-send the message to the other destinations if the
-/// origin crashes mid-multicast.
+/// A reliably-multicast message: one frame, identical for every
+/// destination process. `dest_seqs[i]` is the per-(origin, dest_nodes[i])
+/// FIFO sequence number, so a receiver reads its own from the entry that
+/// names it, and a relay can re-send the same frame to the other
+/// destinations if the origin crashes mid-multicast.
 struct RmData {
   NodeId origin = kInvalidNode;
-  std::uint64_t seq = 0;
-  std::vector<GroupId> dst_groups;
   std::vector<NodeId> dest_nodes;          ///< parallel to dest_seqs
   std::vector<std::uint64_t> dest_seqs;
   AmcastPayload inner;

@@ -1,5 +1,7 @@
 #include "fastcast/rmcast/reliable_multicast.hpp"
 
+#include <algorithm>
+
 #include "fastcast/common/assert.hpp"
 #include "fastcast/common/logging.hpp"
 #include "fastcast/obs/observability.hpp"
@@ -15,11 +17,10 @@ void ReliableMulticast::restore(const storage::DurableState& durable) {
   for (const auto& [key, frame_bytes] : durable.rm_staged) {
     Message m;
     if (!decode_message(frame_bytes, m)) continue;  // guarded by WAL CRC
-    if (const auto* data = std::get_if<RmData>(&m.payload)) {
-      RmData copy = *data;
-      copy.seq = key.second;
+    if (auto* data = std::get_if<RmData>(&m.payload)) {
       // Restored from the WAL, so durable by construction: no gate.
-      unacked_.emplace(key, Staged{std::move(copy), 0});
+      unacked_.emplace(
+          key, Staged{std::make_shared<const RmData>(std::move(*data)), 0});
     }
   }
   for (const auto& [node, seq] : durable.rm_next_expected) {
@@ -35,7 +36,6 @@ void ReliableMulticast::multicast(Context& ctx, const std::vector<GroupId>& dst,
 
   RmData frame;
   frame.origin = ctx.self();
-  frame.dst_groups = dst;
   frame.dest_nodes = dests;
   frame.dest_seqs.reserve(dests.size());
   for (NodeId d : dests) {
@@ -44,49 +44,46 @@ void ReliableMulticast::multicast(Context& ctx, const std::vector<GroupId>& dst,
     frame.dest_seqs.push_back(it->second++);
   }
   frame.inner = std::move(inner);
+  Message msg{std::move(frame)};
+
+  // Lossy links keep the frame for retransmission: every unacked entry of
+  // this multicast shares one copy.
+  const bool lossy = !config_.reliable_links;
+  std::shared_ptr<const RmData> kept;
+  if (lossy) {
+    kept = std::make_shared<const RmData>(std::get<RmData>(msg.payload));
+  }
 
   // Log each seq advance (a restarted origin must never reuse it) plus the
-  // staged frame when retransmission needs it, and gate the sends: a frame
-  // that hits the wire is always reconstructible from disk.
-  const bool lossy = !config_.reliable_links;
+  // staged frame when retransmission needs it, and gate the send: a frame
+  // that hits the wire is always reconstructible from disk. Every
+  // destination gets the same frame, so it is encoded once (the log step
+  // runs before log_then takes `msg`).
   const storage::Lsn lsn = storage::log_then(
       ctx.storage(),
       [&](storage::NodeStorage& st) {
+        if (lossy) encode_message_into(msg, stage_scratch_);
         storage::Lsn last = 0;
         for (std::size_t i = 0; i < dests.size(); ++i) {
           last = st.log(storage::WalRecord::rm_next_seq(dests[i],
                                                        next_seq_[dests[i]]));
           if (lossy) {
-            frame.seq = frame.dest_seqs[i];
-            stage_scratch_.clear();
-            encode_message_into(Message{frame}, stage_scratch_);
-            last = st.log(storage::WalRecord::rm_stage(dests[i], frame.seq,
-                                                       stage_scratch_));
+            last = st.log(storage::WalRecord::rm_stage(
+                dests[i], kept->dest_seqs[i], stage_scratch_));
           }
         }
         return last;
       },
-      [](Context* c, RmData&& f) {
-        // Each copy carries its own seq on the wire, so all but the last
-        // destination get their own frame; the last one takes it by move.
-        const std::size_t last = f.dest_nodes.size() - 1;
-        for (std::size_t i = 0; i < last; ++i) {
-          RmData copy = f;
-          copy.seq = f.dest_seqs[i];
-          c->send(f.dest_nodes[i], Message{std::move(copy)});
-        }
-        f.seq = f.dest_seqs[last];
-        const NodeId to = f.dest_nodes[last];
-        c->send(to, Message{std::move(f)});
+      [](Context* c, const std::vector<NodeId>& to, Message&& m) {
+        c->send_to_nodes(to, std::move(m));
       },
-      // Lossy links stage `frame` below, so the send path gets a copy.
-      &ctx, lossy ? RmData{frame} : std::move(frame));
-  // The staged copies carry the same gate, so the retransmit timer cannot
+      &ctx, dests, std::move(msg));
+  // The staged entries carry the same gate, so the retransmit timer cannot
   // leak a frame before its seq advance is durable either.
   if (lossy) {
     for (std::size_t i = 0; i < dests.size(); ++i) {
-      frame.seq = frame.dest_seqs[i];
-      unacked_.emplace(std::make_pair(dests[i], frame.seq), Staged{frame, lsn});
+      unacked_.emplace(std::make_pair(dests[i], kept->dest_seqs[i]),
+                       Staged{kept, lsn});
     }
   }
 }
@@ -106,9 +103,7 @@ void ReliableMulticast::arm_retransmit(Context& ctx) {
       // advance is still unsynced would externalize state a crash can
       // forget (see Staged::lsn).
       if (!storage::is_durable(ctx.storage(), staged.lsn)) continue;
-      RmData copy = staged.frame;
-      copy.seq = key.second;
-      ctx.send(key.first, Message{std::move(copy)});
+      ctx.send(key.first, Message{*staged.frame});
       ++sent;
     }
     if (auto* o = ctx.obs(); o && sent > 0) {
@@ -149,6 +144,14 @@ void ReliableMulticast::deliver_frame(Context& ctx, const RmData& frame) {
 }
 
 void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
+  // Every destination gets the same frame and reads its own sequence
+  // number from the entry that names it; a frame without one is malformed
+  // input, neither delivered nor acked.
+  const auto named =
+      std::find(data.dest_nodes.begin(), data.dest_nodes.end(), ctx.self());
+  if (named == data.dest_nodes.end()) return;
+  const std::uint64_t seq = data.dest_seqs[named - data.dest_nodes.begin()];
+
   // The one handler that still asks whether storage is attached, because
   // its ack means two things. Without storage it means "received": every
   // arriving copy is acked at once, even one held back out of order. With
@@ -163,21 +166,21 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
   if (st == nullptr) {
     if (!config_.reliable_links) {
       // Ack to whoever transmitted this copy (origin or a relay).
-      ctx.send(from, Message{RmAck{data.origin, data.seq}});
+      ctx.send(from, Message{RmAck{data.origin, seq}});
     }
-  } else if (!config_.reliable_links && data.seq < origin.next_expected) {
+  } else if (!config_.reliable_links && seq < origin.next_expected) {
     // Durable mode acks only what a restart provably keeps: this frame is
     // below a logged next-expected floor, so ack once that floor commits
     // (usually already has). Fresh frames are acked on drain below.
-    st->after_logged([c = &ctx, from, ack = RmAck{data.origin, data.seq}]() {
+    st->after_logged([c = &ctx, from, ack = RmAck{data.origin, seq}]() {
       c->send(from, Message{ack});
     });
   }
 
-  if (data.seq < origin.next_expected) return;  // duplicate
-  if (data.seq > origin.next_expected) {
+  if (seq < origin.next_expected) return;  // duplicate
+  if (seq > origin.next_expected) {
     // Arrived after a gap: hold it back until the gap fills.
-    if (!origin.holdback.try_emplace(data.seq, data).second) return;
+    if (!origin.holdback.try_emplace(seq, data).second) return;
     if (auto* o = ctx.obs()) {
       o->metrics.gauge("rmcast.holdback_max")
           .record_max(static_cast<std::int64_t>(holdback_size()));
@@ -227,18 +230,13 @@ void ReliableMulticast::on_data(Context& ctx, NodeId from, const RmData& data) {
         for (const RmData& frame : frames) deliver_frame(*c, frame);
         if (!config_.reliable_links) c->send(to, Message{ack});
       },
-      &ctx, from, RmAck{data.origin, data.seq}, std::move(drained));
+      &ctx, from, RmAck{data.origin, seq}, std::move(drained));
 }
 
 void ReliableMulticast::relay(Context& ctx, const RmData& data) {
-  FC_ASSERT(data.dest_nodes.size() == data.dest_seqs.size());
-  for (std::size_t i = 0; i < data.dest_nodes.size(); ++i) {
-    const NodeId dest = data.dest_nodes[i];
-    if (dest == ctx.self()) continue;
-    RmData copy = data;
-    copy.seq = data.dest_seqs[i];
-    ctx.send(dest, Message{std::move(copy)});
-  }
+  std::vector<NodeId> others = data.dest_nodes;
+  std::erase(others, ctx.self());
+  if (!others.empty()) ctx.send_to_nodes(others, Message{data});
 }
 
 std::size_t ReliableMulticast::holdback_size() const {

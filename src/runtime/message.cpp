@@ -113,8 +113,6 @@ void layout(Io& io, S& s) {
 template <class Io>
 void layout(Io& io, RmData& d) {
   io.u32(d.origin);
-  io.u64(d.seq);
-  groups(io, d.dst_groups);
   // dest_nodes and dest_seqs are parallel: one count, then the pairs.
   FC_ASSERT(d.dest_nodes.size() == d.dest_seqs.size());
   const std::size_t n = io.count(d.dest_nodes.size());
@@ -300,7 +298,7 @@ namespace {
 // Member templates are illegal in local classes, so the visitor lives here.
 struct WireBytesVisitor {
   std::size_t operator()(const RmData& d) const {
-    std::size_t n = 8 * d.dest_nodes.size() + d.dst_groups.size();
+    std::size_t n = 8 * d.dest_nodes.size();
     if (const auto* s = std::get_if<AmStart>(&d.inner)) {
       n += s->msg.payload.size() + s->msg.dst.size();
     }

@@ -33,15 +33,11 @@ MulticastMessage sample_msg() {
 TEST(MessageCodec, RmDataRoundTrip) {
   RmData d;
   d.origin = 9;
-  d.seq = 1234;
-  d.dst_groups = {1, 2};
   d.dest_nodes = {3, 4, 5, 6, 7, 8};
   d.dest_seqs = {10, 11, 12, 13, 14, 15};
   d.inner = AmStart{sample_msg()};
   const RmData out = round_trip(d);
   EXPECT_EQ(out.origin, 9u);
-  EXPECT_EQ(out.seq, 1234u);
-  EXPECT_EQ(out.dst_groups, d.dst_groups);
   EXPECT_EQ(out.dest_nodes, d.dest_nodes);
   EXPECT_EQ(out.dest_seqs, d.dest_seqs);
   EXPECT_EQ(std::get<AmStart>(out.inner).msg, sample_msg());
@@ -51,8 +47,8 @@ TEST(MessageCodec, RmDataCarriesSendSoftAndHard) {
   for (int which = 0; which < 2; ++which) {
     RmData d;
     d.origin = 1;
-    d.seq = 2;
-    d.dst_groups = {0, 1};
+    d.dest_nodes = {4};
+    d.dest_seqs = {2};
     if (which == 0) {
       d.inner = AmSendSoft{3, 99, make_msg_id(1, 2), {0, 1}};
     } else {
@@ -228,8 +224,6 @@ TEST(MessageCodec, FuzzMutatedValidMessages) {
   Rng rng(0x5eed1);
   RmData d;
   d.origin = 1;
-  d.seq = 2;
-  d.dst_groups = {0, 1};
   d.dest_nodes = {0, 1, 2};
   d.dest_seqs = {1, 1, 1};
   d.inner = AmStart{sample_msg()};
@@ -339,8 +333,8 @@ TEST(MessageCodec, StampedMessagesRoundTrip) {
     EXPECT_EQ(round_trip(MpBody{msg}).msg, msg);
     RmData d;
     d.origin = 9;
-    d.seq = 4;
-    d.dst_groups = {0, 1};
+    d.dest_nodes = {0};
+    d.dest_seqs = {4};
     d.inner = AmStart{msg};
     EXPECT_EQ(std::get<AmStart>(round_trip(d).inner).msg, msg);
   }

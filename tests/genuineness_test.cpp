@@ -127,8 +127,6 @@ TEST(MessageMinimality, WireSizeGrowsWithGroupsNotProcesses) {
     }
     RmData d;
     d.origin = 0;
-    d.seq = 1;
-    d.dst_groups = dst;
     d.dest_nodes = dest_nodes;
     d.dest_seqs = dest_seqs;
     d.inner = AmSendHard{0, 42, make_msg_id(0, 1), dst};

@@ -385,7 +385,8 @@ TEST(TcpTransport, ReassemblesLargeAndCoalescedFrames) {
   for (int i = 0; i < kLarge; ++i) {
     RmData d;
     d.origin = 0;
-    d.seq = static_cast<std::uint64_t>(i);
+    d.dest_nodes = {1};
+    d.dest_seqs = {static_cast<std::uint64_t>(i) + 1};
     MulticastMessage mm;
     mm.id = make_msg_id(0, static_cast<std::uint32_t>(i));
     mm.sender = 0;

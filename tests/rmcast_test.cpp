@@ -1,7 +1,10 @@
 // FIFO reliable multicast tests: FIFO order, dedup, validity, relaying on
-// origin crash, retransmission over lossy links.
+// origin crash, retransmission over lossy links, and the one shared frame
+// every destination reads its own sequence number from.
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "fastcast/obs/observability.hpp"
 #include "fastcast/rmcast/reliable_multicast.hpp"
@@ -215,6 +218,99 @@ TEST(ReliableMulticast, NoDuplicateDeliveriesUnderRelaying) {
   }
 }
 
+TEST(ReliableMulticast, RelayedCopiesAreDedupedByTheReceiversOwnSeq) {
+  // Over lossy links every receiver relays the one frame it delivered, the
+  // origin retransmits, and every copy a destination sees is the same
+  // frame: each finds its own sequence number in it and delivers once.
+  RmConfig cfg;
+  cfg.reliable_links = false;
+  cfg.relay = RmConfig::Relay::kSelf;
+  SimConfig sim_cfg;
+  sim_cfg.drop_probability = 0.2;
+  Fixture f(cfg, sim_cfg);
+  std::size_t relayed = 0;
+  f.sim.set_send_observer([&relayed](NodeId from, NodeId, const Message& m) {
+    if (from != 6 && std::holds_alternative<RmData>(m.payload)) ++relayed;
+  });
+  f.nodes[6]->start_hook = [&f](Context& ctx) {
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      f.nodes[6]->rm.multicast(ctx, {0, 1}, RmNode::payload(6, i));
+    }
+  };
+  f.sim.start();
+  f.sim.run_until(seconds(5));
+  EXPECT_GT(relayed, 0u);
+  for (NodeId n = 0; n < 6; ++n) {
+    ASSERT_EQ(f.nodes[n]->deliveries.size(), 10u) << "node " << n;
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      EXPECT_EQ(f.nodes[n]->deliveries[i].second, make_msg_id(6, i));
+    }
+  }
+  EXPECT_EQ(f.nodes[6]->rm.unacked_count(), 0u);
+}
+
+TEST(ReliableMulticast, OneMulticastQueuesOneSharedFrame) {
+  // 2 groups x 3 replicas: six simulator entries, all pointing at one
+  // Message, one per destination.
+  Fixture f;
+  std::vector<NodeId> to;
+  std::set<const Message*> frames;
+  f.sim.set_send_observer([&](NodeId from, NodeId dest, const Message& m) {
+    if (from != 6) return;
+    to.push_back(dest);
+    frames.insert(&m);
+  });
+  f.nodes[6]->start_hook = [&f](Context& ctx) {
+    f.nodes[6]->rm.multicast(ctx, {0, 1}, RmNode::payload(6, 0));
+  };
+  f.sim.start();
+  f.sim.run_to_idle();
+  EXPECT_EQ(to, (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(frames.size(), 1u);
+  for (NodeId n = 0; n < 6; ++n) {
+    EXPECT_EQ(f.nodes[n]->deliveries.size(), 1u) << "node " << n;
+  }
+}
+
+TEST(ReliableMulticast, FrameThatDoesNotNameTheReceiverIsIgnored) {
+  // Node 6 hand-sends node 0 a frame that lists only node 1, then one that
+  // lists node 0. Over lossy links a frame node 0 accepts is acked, so the
+  // first one must leave neither a delivery nor an ack behind.
+  RmConfig cfg;
+  cfg.reliable_links = false;
+  Fixture f(cfg);
+  std::vector<RmAck> acks;
+  f.sim.set_send_observer([&acks](NodeId from, NodeId, const Message& m) {
+    if (const auto* ack = std::get_if<RmAck>(&m.payload); ack && from == 0) {
+      acks.push_back(*ack);
+    }
+  });
+  auto frame = [](NodeId dest) {
+    RmData d;
+    d.origin = 6;
+    d.dest_nodes = {dest};
+    d.dest_seqs = {1};
+    d.inner = RmNode::payload(6, 1);
+    return Message{std::move(d)};
+  };
+  f.nodes[6]->start_hook = [frame](Context& ctx) {
+    ctx.send(0, frame(1));
+    ctx.set_timer(milliseconds(5), [&ctx, frame] { ctx.send(0, frame(0)); });
+  };
+  f.sim.start();
+
+  f.sim.run_until(milliseconds(4));
+  EXPECT_TRUE(f.nodes[0]->deliveries.empty());
+  EXPECT_TRUE(acks.empty());
+  EXPECT_EQ(f.nodes[0]->rm.next_expected_from(6), 1u);
+
+  f.sim.run_until(milliseconds(10));
+  ASSERT_EQ(f.nodes[0]->deliveries.size(), 1u);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].origin, 6u);
+  EXPECT_EQ(acks[0].seq, 1u);
+}
+
 TEST(ReliableMulticast, SelfDeliveryWhenOriginIsDestination) {
   Fixture f;
   f.nodes[0]->start_hook = [&f](Context& ctx) {
@@ -236,8 +332,6 @@ TEST(ReliableMulticast, InOrderArrivalsSkipTheHoldback) {
   auto frame = [](std::uint64_t seq) {
     RmData d;
     d.origin = 6;
-    d.seq = seq;
-    d.dst_groups = {0};
     d.dest_nodes = {0};
     d.dest_seqs = {seq};
     d.inner = RmNode::payload(6, static_cast<std::uint32_t>(seq));

@@ -199,10 +199,8 @@ TEST_F(WalBeforeSend, RmcastFramesAndRetransmissionsWaitForTheSeqRecords) {
   st.flush();
   RmData frame;
   frame.origin = 0;
-  frame.dst_groups = {0, 1};
   frame.dest_nodes = {0, 1, 2, 3, 4, 5};
   frame.dest_seqs = {1, 1, 1, 1, 1, 1};
-  frame.seq = 1;
   frame.inner = inner;
   std::vector<std::string> round;
   for (NodeId n = 0; n < 6; ++n) round.push_back(sent(n, Message{frame}));
@@ -221,10 +219,8 @@ TEST_F(WalBeforeSend, RmcastFramesOverReliableLinksWaitForTheSeqRecords) {
   st.flush();
   RmData frame;
   frame.origin = 0;
-  frame.dst_groups = {1};
   frame.dest_nodes = {3, 4, 5};
   frame.dest_seqs = {1, 1, 1};
-  frame.seq = 1;
   frame.inner = inner;
   EXPECT_EQ(take(), (std::vector<std::string>{sent(3, Message{frame}),
                                               sent(4, Message{frame}),
@@ -240,8 +236,6 @@ TEST_F(WalBeforeSend, RmcastAckAndDeliveryWaitForTheProgressRecord) {
   auto frame = [](std::uint64_t seq) {
     RmData f;
     f.origin = 6;
-    f.seq = seq;
-    f.dst_groups = {0};
     f.dest_nodes = {0, 1, 2};
     f.dest_seqs = {seq, seq, seq};
     f.inner = AmStart{message(make_msg_id(6, static_cast<std::uint32_t>(seq)),
@@ -295,8 +289,6 @@ TEST_F(WalBeforeSend, RmcastAckLeavesOnlyOnceTheStartBodyIsDurable) {
   const MsgId mid = make_msg_id(6, 1);
   RmData frame;
   frame.origin = 6;
-  frame.seq = 1;
-  frame.dst_groups = {0};
   frame.dest_nodes = {0, 1, 2};
   frame.dest_seqs = {1, 1, 1};
   frame.inner = AmStart{message(mid, 6, {0})};
