@@ -10,11 +10,12 @@ namespace fastcast {
 
 namespace {
 
-/// Messages (payload mode) or id records (id mode) per proposed value.
+/// Messages (payload mode) or id records (id mode) per proposed value, and
+/// the most bodies one id-mode pull tick requests.
 constexpr std::size_t kMaxBatch = 128;
 
-/// Id mode: a replica whose ordered id-record head has no body yet
-/// re-requests it at this interval (backing off ×2 up to 8×).
+/// Id mode: a replica whose ordered id records still miss bodies requests
+/// them at this interval (backing off ×2 up to 8× while none arrives).
 constexpr Duration kBodyPullInterval = milliseconds(25);
 
 bool addressed_to(const MulticastMessage& msg, GroupId g) {
@@ -432,27 +433,24 @@ void MultiPaxosAmcast::arm_body_pull(Context& ctx) {
   pull_armed_ = true;
   ctx.set_timer(kBodyPullInterval * pull_backoff_, [this, &ctx] {
     pull_armed_ = false;
-    if (pending_order_.empty()) return;  // body arrived meanwhile
-    const MpIdRecord& head = pending_order_.front().rec;
-    // Candidate holders: the ordering members (the leader stored a copy at
-    // submit time) and the other destination replicas (any that delivered
-    // keeps the body until every learner has settled past it). Rotate so a
-    // crashed candidate does not absorb every request.
-    std::vector<NodeId> candidates;
-    for (NodeId n : cfg_.consensus.members) {
-      if (n != ctx.self()) candidates.push_back(n);
+    if (pending_order_.empty()) return;  // bodies arrived meanwhile
+    // Every pending record is addressed to my_group, so each group peer
+    // holds its body until the prune floor passes, and so does the ordering
+    // leader, which stored it at submit time. Requests rotate over the
+    // group's members, this node's own slot going to the leader, so a
+    // crashed holder absorbs only its share.
+    const auto& members = ctx.membership().members(cfg_.my_group);
+    std::size_t asked = 0;
+    for (const Pending& p : pending_order_) {
+      if (asked == kMaxBatch) break;
+      if (bodies_.contains(p.rec.mid)) continue;
+      NodeId target = members[pull_rr_++ % members.size()];
+      if (target == ctx.self()) target = cons_.leader();
+      ctx.send(target, Message{MpBodyRequest{p.rec.mid}});
+      ++asked;
     }
-    for (GroupId g : head.dst) {
-      for (NodeId n : ctx.membership().members(g)) {
-        if (n != ctx.self()) candidates.push_back(n);
-      }
-    }
-    if (!candidates.empty()) {
-      const NodeId target = candidates[pull_rr_++ % candidates.size()];
-      ctx.send(target, Message{MpBodyRequest{head.mid}});
-      if (auto* o = ctx.obs()) {
-        o->metrics.counter("multipaxos.body_pulls").inc();
-      }
+    if (auto* o = ctx.obs(); o && asked > 0) {
+      o->metrics.counter("multipaxos.body_pulls").inc(asked);
     }
     if (pull_backoff_ < 8) pull_backoff_ *= 2;
     arm_body_pull(ctx);

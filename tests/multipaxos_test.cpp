@@ -384,10 +384,10 @@ TEST(MultiPaxosIdOrdering, ReplicaDownForManyMessagesStillPullsEveryBody) {
   sim.schedule_recover(victim, stop_at + milliseconds(100));
   cluster.start();
   cluster.stop_clients(stop_at);
-  // A rebuilt replica pulls one body per kBodyPullInterval tick (longer
-  // while it backs off), so catching up on ~9,500 bodies takes ~1,430 s of
-  // simulated time; the idle cluster simulates that in well under a second.
-  sim.run_until(seconds(1800));
+  // A rebuilt replica requests up to 128 missing bodies per pull tick from
+  // its group peers and the ordering leader, so ~9,500 bodies take a few
+  // seconds of simulated time.
+  sim.run_until(seconds(10));
 
   ASSERT_GT(before_recovery - before_crash, 8192u);
   const auto& got = cluster.storage()->node(victim)->state().delivered;
