@@ -361,6 +361,9 @@ bool decode_tuples(std::span<const std::byte> bytes, std::vector<Tuple>& out);
 /// Encodes a batch of MulticastMessages as an opaque consensus value for
 /// the non-genuine protocol (and back).
 std::vector<std::byte> encode_msg_batch(const std::vector<MulticastMessage>& msgs);
+/// encode_msg_batch({msg}), byte for byte, without copying `msg` into a
+/// vector first: how the WAL stores a message body.
+std::vector<std::byte> encode_msg_batch_of_one(const MulticastMessage& msg);
 bool decode_msg_batch(std::span<const std::byte> bytes,
                       std::vector<MulticastMessage>& out);
 

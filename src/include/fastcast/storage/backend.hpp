@@ -71,13 +71,12 @@ class MemBackend final : public StorageBackend {
   void remove(const std::string& name) override;
   void drop_unsynced(Rng* torn_rng) override;
 
-  /// Bytes not yet covered by a sync, across all files (tests).
-  std::size_t pending_bytes() const;
-
  private:
+  /// One buffer per file: the first `durable` bytes are synced, the rest
+  /// were appended since. A sync only moves the watermark.
   struct File {
-    std::vector<std::byte> durable;
-    std::vector<std::byte> pending;  ///< appended since the last sync
+    std::vector<std::byte> bytes;
+    std::size_t durable = 0;
   };
   std::map<std::string, File> files_;
 };

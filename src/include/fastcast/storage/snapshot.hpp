@@ -72,8 +72,10 @@ struct DurableState {
   std::map<MsgId, std::vector<std::byte>> bodies;
 
   /// Folds one WAL record into the state. This is *the* definition of what
-  /// each record type means; recovery and snapshotting share it.
-  void apply(const WalRecord& rec);
+  /// each record type means; recovery and snapshotting share it. The record
+  /// is taken by value and its `value` moved into the fold, so a caller
+  /// passing a temporary copies no payload.
+  void apply(WalRecord rec);
 
   bool empty() const {
     return groups.empty() && rm_next_seq.empty() && rm_staged.empty() &&
@@ -110,7 +112,7 @@ class SnapshotStore {
   static bool parse_snapshot_name(const std::string& name, Lsn& lsn);
 
   StorageBackend* backend_;
-  Writer scratch_;
+  std::vector<std::byte> scratch_;  ///< the framed snapshot being written, reused
 };
 
 }  // namespace fastcast::storage

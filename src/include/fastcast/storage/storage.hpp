@@ -97,8 +97,9 @@ class NodeStorage {
   NodeStorage& operator=(const NodeStorage&) = delete;
 
   /// Appends `rec` and folds it into state(); durable only after a covering
-  /// commit. Returns its LSN.
-  Lsn log(const WalRecord& rec);
+  /// commit. Returns its LSN. Takes the record by value and moves its
+  /// payload into the fold: pass a temporary.
+  Lsn log(WalRecord rec);
 
   // --- durability gate ----------------------------------------------------
   /// Runs `fn` once every record up to `lsn` is committed — immediately if

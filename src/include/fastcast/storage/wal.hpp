@@ -4,6 +4,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fastcast/common/codec.hpp"
@@ -36,8 +37,30 @@ namespace fastcast::storage {
 /// Log sequence number: 1-based count of records ever appended; 0 = none.
 using Lsn = std::uint64_t;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xedb88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xedb88320), eight bytes per
+/// step (slice-by-8).
 std::uint32_t crc32(std::span<const std::byte> data);
+
+/// Bytes per frame header: u32 body length + u32 CRC-32 of the body. WAL
+/// records and snapshots share this framing.
+inline constexpr std::size_t kFrameHeader = 8;
+
+/// Fills in the header of `frame`, a kFrameHeader-byte placeholder followed
+/// by the body, from the body's length and CRC.
+void seal_frame(std::span<std::byte> frame);
+
+/// Frames what `encode` writes as [length][CRC][body] in `buf`, reusing its
+/// capacity: the body is encoded once, straight after a header placeholder,
+/// and checksummed in place — no second buffer, no copy.
+template <class Encode>
+void encode_frame(std::vector<std::byte>& buf, Encode&& encode) {
+  buf.clear();
+  Writer w(std::move(buf));
+  w.u64(0);  // header placeholder, sealed below
+  encode(w);
+  buf = w.take();
+  seal_frame(buf);
+}
 
 enum class WalRecordType : std::uint8_t {
   kPromise = 1,     ///< acceptor of `group` promised `ballot`
@@ -75,8 +98,9 @@ struct WalRecord {
   static WalRecord rm_settle(NodeId dest, std::uint64_t seq);
   static WalRecord rm_progress(NodeId origin, std::uint64_t next_expected);
   static WalRecord delivered(MsgId mid);
-  /// The message as a one-element batch (encode_msg_batch); decode_body
-  /// reads it back.
+  /// The message as a one-element batch, encoded straight from `msg` into a
+  /// buffer reserved for it (encode_msg_batch_of_one); decode_body reads it
+  /// back.
   static WalRecord body(const MulticastMessage& msg);
   static WalRecord settled(GroupId g, InstanceId frontier, std::uint64_t clock);
   static WalRecord prune_accepted(GroupId g, InstanceId floor);
@@ -149,8 +173,7 @@ class Wal {
   std::vector<Segment> segments_;
   Lsn last_lsn_ = 0;
   Lsn durable_lsn_ = 0;
-  Writer body_scratch_;
-  Writer frame_scratch_;
+  std::vector<std::byte> frame_;  ///< the record being appended, reused
   bool opened_ = false;
 };
 

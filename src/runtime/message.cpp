@@ -373,6 +373,17 @@ std::vector<std::byte> encode_msg_batch(const std::vector<MulticastMessage>& msg
   return encode_seq(msgs);
 }
 
+std::vector<std::byte> encode_msg_batch_of_one(const MulticastMessage& msg) {
+  // Reserved from an upper bound (count, fixed fields, varints at their
+  // widest, the payload): a 2 KiB body lands in one allocation instead of
+  // being copied as the buffer regrows.
+  constexpr std::size_t kMaxVarint = 10;
+  Writer w(12 + kMaxVarint * (3 + msg.dst.size()) + msg.payload.size());
+  w.count(1);
+  encode_layout(w, msg);
+  return w.take();
+}
+
 bool decode_msg_batch(std::span<const std::byte> bytes,
                       std::vector<MulticastMessage>& out) {
   return decode_seq(bytes, out);

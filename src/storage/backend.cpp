@@ -30,54 +30,45 @@ bool MemBackend::read(const std::string& name, std::vector<std::byte>& out) cons
   if (it == files_.end()) return false;
   // A live reader sees everything written, synced or not — exactly like a
   // process re-reading its own buffered writes through the page cache.
-  out = it->second.durable;
-  out.insert(out.end(), it->second.pending.begin(), it->second.pending.end());
+  out = it->second.bytes;
   return true;
 }
 
 void MemBackend::append(const std::string& name, std::span<const std::byte> data) {
   auto& file = files_[name];
-  file.pending.insert(file.pending.end(), data.begin(), data.end());
+  file.bytes.insert(file.bytes.end(), data.begin(), data.end());
 }
 
 void MemBackend::sync(const std::string& name) {
   auto it = files_.find(name);
   if (it == files_.end()) return;
-  auto& file = it->second;
-  file.durable.insert(file.durable.end(), file.pending.begin(), file.pending.end());
-  file.pending.clear();
+  it->second.durable = it->second.bytes.size();
 }
 
 void MemBackend::write_atomic(const std::string& name,
                               std::span<const std::byte> data) {
   auto& file = files_[name];
-  file.durable.assign(data.begin(), data.end());
-  file.pending.clear();
+  file.bytes.assign(data.begin(), data.end());
+  file.durable = file.bytes.size();
 }
 
 void MemBackend::remove(const std::string& name) { files_.erase(name); }
 
 void MemBackend::drop_unsynced(Rng* torn_rng) {
   for (auto& [name, file] : files_) {
-    if (file.pending.empty()) continue;
+    const std::size_t pending = file.bytes.size() - file.durable;
+    if (pending == 0) continue;
     // Model sequential disk writes: a random *prefix* of the unsynced
     // bytes may have reached the platter before the kill, possibly
     // cutting a record in half (the torn tail recovery must repair).
     std::size_t keep = 0;
     if (torn_rng != nullptr) {
       keep = static_cast<std::size_t>(
-          torn_rng->uniform(static_cast<std::uint64_t>(file.pending.size()) + 1));
+          torn_rng->uniform(static_cast<std::uint64_t>(pending) + 1));
     }
-    file.durable.insert(file.durable.end(), file.pending.begin(),
-                        file.pending.begin() + static_cast<std::ptrdiff_t>(keep));
-    file.pending.clear();
+    file.bytes.resize(file.durable + keep);
+    file.durable = file.bytes.size();
   }
-}
-
-std::size_t MemBackend::pending_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [name, file] : files_) total += file.pending.size();
-  return total;
 }
 
 // ---------------------------------------------------------------------------

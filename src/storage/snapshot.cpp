@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "fastcast/common/assert.hpp"
 
@@ -11,7 +12,7 @@ namespace fastcast::storage {
 // DurableState
 // ---------------------------------------------------------------------------
 
-void DurableState::apply(const WalRecord& rec) {
+void DurableState::apply(WalRecord rec) {
   switch (rec.type) {
     case WalRecordType::kPromise: {
       auto& g = groups[rec.group];
@@ -27,7 +28,7 @@ void DurableState::apply(const WalRecord& rec) {
       auto& acc = g.accepted[rec.instance];
       if (rec.ballot.round == 0 || rec.ballot >= acc.ballot) {
         acc.ballot = rec.ballot;
-        acc.value = rec.value;
+        acc.value = std::move(rec.value);
       }
       break;
     }
@@ -37,7 +38,7 @@ void DurableState::apply(const WalRecord& rec) {
       break;
     }
     case WalRecordType::kRmStage:
-      rm_staged[{rec.node, rec.seq}] = rec.value;
+      rm_staged[{rec.node, rec.seq}] = std::move(rec.value);
       break;
     case WalRecordType::kRmSettle:
       rm_staged.erase({rec.node, rec.seq});
@@ -52,7 +53,7 @@ void DurableState::apply(const WalRecord& rec) {
       bodies.erase(rec.seq);  // a delivered message's body is no longer needed
       break;
     case WalRecordType::kBody:
-      if (!delivered.contains(rec.seq)) bodies[rec.seq] = rec.value;
+      if (!delivered.contains(rec.seq)) bodies[rec.seq] = std::move(rec.value);
       break;
     case WalRecordType::kSettled: {
       auto& g = groups[rec.group];
@@ -176,15 +177,9 @@ bool SnapshotStore::parse_snapshot_name(const std::string& name, Lsn& lsn) {
 }
 
 void SnapshotStore::write(Lsn lsn, const DurableState& state) {
-  scratch_.clear();
-  encode_state(scratch_, state);
   // Same [len][crc] guard as WAL frames, so bit rot is detected on load.
-  Writer framed;
-  framed.reserve(scratch_.size() + 8);
-  framed.u32(static_cast<std::uint32_t>(scratch_.size()));
-  framed.u32(crc32(scratch_.data()));
-  framed.raw(scratch_.data());
-  backend_->write_atomic(snapshot_name(lsn), framed.data());
+  encode_frame(scratch_, [&state](Writer& w) { encode_state(w, state); });
+  backend_->write_atomic(snapshot_name(lsn), scratch_);
 
   // GC: keep the newest two snapshots (this one and its predecessor).
   std::vector<Lsn> lsns;
@@ -209,18 +204,18 @@ Lsn SnapshotStore::load_latest(DurableState& state, std::uint64_t* rejected) {
   std::vector<std::byte> content;
   for (auto it = lsns.rbegin(); it != lsns.rend(); ++it) {
     if (!backend_->read(snapshot_name(*it), content)) continue;
-    if (content.size() < 8) {
+    if (content.size() < kFrameHeader) {
       if (rejected != nullptr) ++*rejected;
       continue;
     }
     Reader header(content);
     const std::uint32_t len = header.u32();
     const std::uint32_t crc = header.u32();
-    if (content.size() - 8 != len) {
+    if (content.size() - kFrameHeader != len) {
       if (rejected != nullptr) ++*rejected;
       continue;
     }
-    const std::span<const std::byte> body(content.data() + 8, len);
+    const std::span<const std::byte> body(content.data() + kFrameHeader, len);
     if (crc32(body) != crc) {
       if (rejected != nullptr) ++*rejected;
       continue;

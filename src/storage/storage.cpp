@@ -80,13 +80,14 @@ void NodeStorage::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
 }
 
-Lsn NodeStorage::log(const WalRecord& rec) {
+Lsn NodeStorage::log(WalRecord rec) {
   const Lsn lsn = wal_.append(rec);
-  state_.apply(rec);
+  const WalRecordType type = rec.type;
+  state_.apply(std::move(rec));
   ++records_since_snapshot_;
   if (metrics_ != nullptr) {
     metrics_->counter("storage.appends").inc();
-    if (rec.type == WalRecordType::kBody) {
+    if (type == WalRecordType::kBody) {
       metrics_->gauge("storage.durable_bodies")
           .record_max(static_cast<std::int64_t>(state_.bodies.size()));
     }

@@ -1,7 +1,9 @@
 #include "fastcast/storage/wal.hpp"
 
 #include <array>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 
 #include "fastcast/common/assert.hpp"
 
@@ -13,22 +15,27 @@ namespace fastcast::storage {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+/// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so one
+/// lookup per byte of an 8-byte word advances the CRC over the whole word.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
-
-/// Bytes per frame header: u32 body length + u32 CRC.
-constexpr std::size_t kFrameHeader = 8;
+constexpr auto kCrcTables = make_crc_tables();
 
 std::uint32_t read_u32_le(const std::byte* p) {
   return static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[0])) |
@@ -40,11 +47,35 @@ std::uint32_t read_u32_le(const std::byte* p) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data) {
+  // The word loads below read the input little-endian, like the codec.
+  static_assert(std::endian::native == std::endian::little);
   std::uint32_t c = 0xffffffffu;
-  for (const std::byte b : data) {
-    c = kCrcTable[(c ^ std::to_integer<std::uint8_t>(b)) & 0xffu] ^ (c >> 8);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint32_t lo;
+    std::uint32_t hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = kCrcTables[7][lo & 0xffu] ^ kCrcTables[6][(lo >> 8) & 0xffu] ^
+        kCrcTables[5][(lo >> 16) & 0xffu] ^ kCrcTables[4][lo >> 24] ^
+        kCrcTables[3][hi & 0xffu] ^ kCrcTables[2][(hi >> 8) & 0xffu] ^
+        kCrcTables[1][(hi >> 16) & 0xffu] ^ kCrcTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = kCrcTables[0][(c ^ std::to_integer<std::uint8_t>(*p)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
+}
+
+void seal_frame(std::span<std::byte> frame) {
+  FC_ASSERT_MSG(frame.size() >= kFrameHeader, "frame shorter than its header");
+  const std::span<const std::byte> body = frame.subspan(kFrameHeader);
+  const auto len = static_cast<std::uint32_t>(body.size());
+  const std::uint32_t crc = crc32(body);
+  std::memcpy(frame.data(), &len, 4);
+  std::memcpy(frame.data() + 4, &crc, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -115,7 +146,7 @@ WalRecord WalRecord::body(const MulticastMessage& msg) {
   WalRecord rec;
   rec.type = WalRecordType::kBody;
   rec.seq = msg.id;
-  rec.value = encode_msg_batch({msg});
+  rec.value = encode_msg_batch_of_one(msg);
   return rec;
 }
 
@@ -329,17 +360,11 @@ Lsn Wal::append(const WalRecord& rec) {
   if (segments_.empty() || segments_.back().bytes >= segment_bytes_) {
     start_segment(lsn);
   }
-  body_scratch_.clear();
-  encode_record(body_scratch_, rec);
-  const auto& body = body_scratch_.data();
-  frame_scratch_.clear();
-  frame_scratch_.u32(static_cast<std::uint32_t>(body.size()));
-  frame_scratch_.u32(crc32(body));
-  frame_scratch_.raw(body);
+  encode_frame(frame_, [&rec](Writer& w) { encode_record(w, rec); });
 
   Segment& seg = segments_.back();
-  backend_->append(seg.name, frame_scratch_.data());
-  seg.bytes += frame_scratch_.size();
+  backend_->append(seg.name, frame_);
+  seg.bytes += frame_.size();
   seg.dirty = true;
   last_lsn_ = lsn;
   return lsn;

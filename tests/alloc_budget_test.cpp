@@ -94,6 +94,83 @@ ExperimentConfig short_genuine_lan() {
   return cfg;
 }
 
+/// perfbench's ordered_durable_open shape, shortened: MultiPaxos ordering
+/// by id, 3 groups x 3 replicas, 24 open-loop clients at 16k multicasts/s,
+/// 2 KiB payloads, every replica logging to an in-memory WAL under the batch
+/// fsync policy, admission control and client deadlines.
+ExperimentConfig short_ordered_durable() {
+  constexpr std::size_t kClients = 24;
+  constexpr std::int64_t kOfferedPerSec = 16000;
+  ExperimentConfig cfg;
+  cfg.topo.env = Environment::kLan;
+  cfg.topo.groups = 3;
+  cfg.topo.replicas_per_group = 3;
+  cfg.topo.clients = kClients;
+  cfg.topo.protocol = Protocol::kMultiPaxos;
+  cfg.seed = 1505;
+  cfg.mp_ordering = ExperimentConfig::MpOrdering::kIds;
+  cfg.mp_batch_fill = 16;
+  cfg.mp_batch_delay = microseconds(200);
+  cfg.payload_size = 2048;
+  cfg.open_loop_interval =
+      kSecond * static_cast<Duration>(kClients) / kOfferedPerSec;
+  cfg.dst_factory = [](std::size_t i) -> DstPicker {
+    return fixed_group(static_cast<GroupId>(i % 3));
+  };
+  cfg.cpu_override =
+      sim::CpuModel{microseconds(15), microseconds(2), nanoseconds(1)};
+  cfg.durability.durable = true;
+  cfg.durability.fsync.mode = storage::FsyncPolicy::Mode::kBatch;
+  cfg.flow.enable = true;
+  cfg.flow.target_delay = milliseconds(10);
+  cfg.flow.trigger_window = milliseconds(4);
+  cfg.client_flow.deadline = milliseconds(50);
+  cfg.warmup = milliseconds(50);
+  cfg.measure = milliseconds(250);
+  cfg.drain = true;
+  cfg.check_level = Checker::Level::kFull;
+  return cfg;
+}
+
+/// Runs `cfg` and returns its allocations per delivery, counted from the
+/// first event to the checker's verdict as perfbench's allocs_per_delivery
+/// is; building the cluster is setup, not traffic.
+double allocs_per_delivery(const ExperimentConfig& cfg) {
+  Cluster cluster(cfg);
+  cluster.start();
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  sim::Simulator& sim = cluster.simulator();
+  const Time window_end = cfg.warmup + cfg.measure;
+  sim.run_until(window_end);
+  cluster.stop_clients(window_end);
+  bool drained;
+  if (cfg.durability.durable) {
+    // The batch-commit timer keeps the event queue from ever emptying: as
+    // in perfbench, settle for a fixed simulated grace and count the run
+    // as drained once no request is left unresolved.
+    sim.run_until(window_end + milliseconds(200));
+    drained = cluster.total_in_flight() == 0;
+  } else {
+    drained = sim.run_to_idle(window_end + cfg.drain_grace);
+  }
+  const Checker::Report report = cluster.checker().check(drained, cfg.check_level);
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+
+  EXPECT_TRUE(drained);
+  EXPECT_TRUE(report.ok) << (report.violations.empty()
+                                 ? std::string{}
+                                 : report.violations.front());
+  const std::uint64_t deliveries = cluster.total_deliveries();
+  EXPECT_GT(deliveries, 10'000u);
+  const double per_delivery =
+      static_cast<double>(allocs) / static_cast<double>(deliveries);
+  std::printf("allocs_per_delivery %.2f (%llu allocations, %llu deliveries)\n",
+              per_delivery, static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(deliveries));
+  return per_delivery;
+}
+
 // Measured at 64.16 allocations per delivery (Release and RelWithDebInfo
 // alike), once every rmcast destination came to share one frame; the same
 // run allocated 78.7 when each destination got its own copy, and 116.0
@@ -103,33 +180,20 @@ constexpr double kBudgetPerDelivery = 67.4;
 
 TEST(AllocBudget, FastCastLanStaysWithinBudget) {
   if (!kCounting) GTEST_SKIP() << "sanitizer builds own operator new";
-  const ExperimentConfig cfg = short_genuine_lan();
-  Cluster cluster(cfg);
-  cluster.start();
+  EXPECT_LE(allocs_per_delivery(short_genuine_lan()), kBudgetPerDelivery);
+}
 
-  // Count from the first event to the checker's verdict, as perfbench's
-  // allocs_per_delivery does; building the cluster is setup, not traffic.
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  sim::Simulator& sim = cluster.simulator();
-  const Time window_end = cfg.warmup + cfg.measure;
-  sim.run_until(window_end);
-  cluster.stop_clients(window_end);
-  const bool drained = sim.run_to_idle(window_end + cfg.drain_grace);
-  const Checker::Report report = cluster.checker().check(drained, cfg.check_level);
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+// Measured at 38.26 allocations per delivery (Release and RelWithDebInfo
+// alike) once a WAL record is encoded once into one reused frame and its
+// body moved into the durable fold; the same run allocated 50.50 when each
+// 2 KiB body was copied on its way into the WAL and the fold. The budget
+// leaves 5% on top of 38.26, so bringing those copies back fails here.
+constexpr double kDurableIdsBudgetPerDelivery = 40.2;
 
-  ASSERT_TRUE(drained);
-  ASSERT_TRUE(report.ok) << (report.violations.empty()
-                                 ? std::string{}
-                                 : report.violations.front());
-  const std::uint64_t deliveries = cluster.total_deliveries();
-  ASSERT_GT(deliveries, 10'000u);
-  const double per_delivery =
-      static_cast<double>(allocs) / static_cast<double>(deliveries);
-  std::printf("allocs_per_delivery %.2f (%llu allocations, %llu deliveries)\n",
-              per_delivery, static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(deliveries));
-  EXPECT_LE(per_delivery, kBudgetPerDelivery);
+TEST(AllocBudget, DurableMultiPaxosIdsStaysWithinBudget) {
+  if (!kCounting) GTEST_SKIP() << "sanitizer builds own operator new";
+  EXPECT_LE(allocs_per_delivery(short_ordered_durable()),
+            kDurableIdsBudgetPerDelivery);
 }
 
 }  // namespace

@@ -67,6 +67,35 @@ TEST(Crc32, MatchesKnownCheckValue) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
 
+/// The plain bit-at-a-time CRC-32, kept as the reference the sliced
+/// implementation must match bit for bit.
+std::uint32_t crc32_bytewise(std::span<const std::byte> data) {
+  std::uint32_t c = 0xffffffffu;
+  for (const std::byte b : data) {
+    c ^= std::to_integer<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference) {
+  // Every length 0-300 at each of 8 start offsets covers every alignment of
+  // the 8-byte loop and every tail length it leaves.
+  constexpr std::size_t kBig = 64 * 1024;
+  Rng rng(2026);
+  std::vector<std::byte> buf(kBig + 8);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::byte> s(buf.data() + offset, len);
+      ASSERT_EQ(crc32(s), crc32_bytewise(s))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  const std::span<const std::byte> big(buf.data(), kBig);
+  EXPECT_EQ(crc32(big), crc32_bytewise(big));
+}
+
 TEST(WalWireFormat, GoldenPromiseBody) {
   // Pinned bytes: changing the record layout must be a deliberate,
   // version-bumped decision, not an accident.
@@ -546,6 +575,70 @@ TEST(Snapshot, DecidedAcceptReplacesAnEarlierVote) {
   EXPECT_EQ(s.groups.at(1).promised, (Ballot{1, 0}));
   s.apply(WalRecord::accept(1, 4, Ballot{3, 2}, bytes_of({0x02})));
   EXPECT_EQ(s.groups.at(1).accepted.at(4).ballot, (Ballot{3, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// MemBackend: the crash model at byte level
+// ---------------------------------------------------------------------------
+
+TEST(MemBackend, CrashKeepsSyncedBytesPlusADrawnPrefixOfTheRest) {
+  const auto synced = bytes_of({0x01, 0x02, 0x03});
+  const auto unsynced = bytes_of({0x04, 0x05, 0x06, 0x07, 0x08});
+  std::vector<std::byte> all = synced;
+  all.insert(all.end(), unsynced.begin(), unsynced.end());
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    MemBackend be;
+    be.append("f", synced);
+    be.sync("f");
+    be.append("f", unsynced);
+    std::vector<std::byte> got;
+    ASSERT_TRUE(be.read("f", got));
+    EXPECT_EQ(got, all) << "a live reader sees the unsynced bytes too";
+
+    // The kept prefix is exactly one uniform(pending + 1) draw.
+    Rng torn(seed);
+    Rng same(seed);
+    const auto keep = static_cast<std::size_t>(same.uniform(unsynced.size() + 1));
+    be.drop_unsynced(&torn);
+    ASSERT_TRUE(be.read("f", got));
+    std::vector<std::byte> want = synced;
+    want.insert(want.end(), unsynced.begin(),
+                unsynced.begin() + static_cast<std::ptrdiff_t>(keep));
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(torn.next(), same.next()) << "one draw per file with pending bytes";
+
+    // What survived the crash is durable: another crash loses none of it.
+    be.drop_unsynced(nullptr);
+    ASSERT_TRUE(be.read("f", got));
+    EXPECT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+TEST(MemBackend, CrashWithoutTornTailKeepsOnlySyncedBytes) {
+  MemBackend be;
+  be.append("f", bytes_of({0x01, 0x02}));
+  be.sync("f");
+  be.append("f", bytes_of({0x03}));
+  be.append("g", bytes_of({0x04}));  // never synced at all
+  be.drop_unsynced(nullptr);
+  std::vector<std::byte> got;
+  ASSERT_TRUE(be.read("f", got));
+  EXPECT_EQ(got, bytes_of({0x01, 0x02}));
+  ASSERT_TRUE(be.read("g", got));
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(MemBackend, WriteAtomicLeavesNothingPending) {
+  MemBackend be;
+  be.append("f", bytes_of({0x01, 0x02}));  // unsynced, then replaced
+  be.write_atomic("f", bytes_of({0x09, 0x08, 0x07}));
+  Rng torn(7);
+  Rng fresh(7);
+  be.drop_unsynced(&torn);
+  std::vector<std::byte> got;
+  ASSERT_TRUE(be.read("f", got));
+  EXPECT_EQ(got, bytes_of({0x09, 0x08, 0x07}));
+  EXPECT_EQ(torn.next(), fresh.next()) << "no pending bytes, so no draw";
 }
 
 // ---------------------------------------------------------------------------
